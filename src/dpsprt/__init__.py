@@ -53,7 +53,6 @@ from .dp_sprt import (
 from .privacy_accounting import (
     ApproxDP,
     PureDP,
-    RDPProfile,
     TauSqEstimate,
     estimate_tau_sq,
     gaussian_rdp_profile,

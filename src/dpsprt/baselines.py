@@ -16,10 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .dp_sprt import TestOutcome, _BitReader, gaussian_scales
+from .dp_sprt import BitReader, TestOutcome, Trial, gaussian_scales
 from .exp_family import HypothesisPair
-from .outside_interval import StreamExhaustedError
-from .rngcore import StreamKey, Substream, derive, uniform_open
+from .rngcore import StreamKey, Substream, derive, rekey, uniform_open
 
 __all__ = [
     "PrivSprtConfig",
@@ -27,11 +26,14 @@ __all__ = [
     "CalibrationResult",
     "llr_steps",
     "truncated_llr_path",
+    "PrivSprtKernel",
     "run_privsprt",
     "default_threshold_grid",
     "calibrate_privsprt",
 ]
 
+# steps per pilot-path extension and in a run's first chunk: PrivSPRT
+# stops about twice as late as the Laplace test at the same epsilon
 _CHUNK = 512
 
 
@@ -107,31 +109,35 @@ def _gauss(rng, sigma: float, size=None):
     return sigma * ndtri(uniform_open(rng, size))
 
 
-def run_privsprt(cfg: PrivSprtConfig, observations: Iterable[int]) -> TestOutcome:
-    """Run PrivSPRT on a bit stream.
+class PrivSprtKernel:
+    """A calibrated PrivSPRT configuration prepared once and run for many
+    trials: the clamped log-likelihood-ratio increments, and the Y and Z
+    generators, which each run resets to the start of its seed's streams."""
 
-    Per step the clamped log-likelihood ratio joins the running sum; the
-    upper comparison statistic + Y1 >= b + Z1 is checked first (decision 1),
-    then statistic + Y2 <= -a + Z2 (decision 0).
-    """
-    if cfg.thresh_a is None or cfg.thresh_b is None:
-        raise ValueError("thresholds are not calibrated; run calibrate_privsprt first")
-    a, b = cfg.thresh_a, cfg.thresh_b
-    reader = _BitReader(observations)
-    rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
-    rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
-    z = _gauss(rng_z, cfg.sigma1, 2)
-    z1, z2 = float(z[0]), float(z[1])
+    def __init__(self, cfg: PrivSprtConfig):
+        if cfg.thresh_a is None or cfg.thresh_b is None:
+            raise ValueError("thresholds are not calibrated; run calibrate_privsprt first")
+        self.cfg = cfg
+        l1, l0 = llr_steps(cfg.hypotheses)
+        self._inc = np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
+        self._rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
+        self._rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
 
-    n_done = 0
-    carry = 0.0
-    while n_done < cfg.horizon:
-        want = min(_CHUNK, cfg.horizon - n_done)
-        bits = reader.take(want)
-        got = bits.size
-        if got:
-            stat = carry + truncated_llr_path(cfg.hypotheses, bits, cfg.trunc_a)
-            y = _gauss(rng_y, cfg.sigma2, 2 * got)
+    def trial(self, seed: int) -> Trial:
+        return Trial(self, seed)
+
+    def run(self, seed: int, observations: Iterable[int]) -> TestOutcome:
+        """Run the trial whose noise streams derive from `seed`."""
+        cfg = self.cfg
+        a, b = cfg.thresh_a, cfg.thresh_b
+        rng_y = rekey(self._rng_y, StreamKey(seed, substream=Substream.NOISE_Y))
+        rng_z = rekey(self._rng_z, StreamKey(seed, substream=Substream.NOISE_Z))
+        z = _gauss(rng_z, cfg.sigma1, 2)
+        z1, z2 = float(z[0]), float(z[1])
+        carry = 0.0
+        for n_done, bits in BitReader(observations).chunks(cfg.horizon, _CHUNK):
+            stat = carry + np.cumsum(self._inc[bits])
+            y = _gauss(rng_y, cfg.sigma2, 2 * bits.size)
             cond_up = stat + y[0::2] >= b + z1
             cond_dn = stat + y[1::2] <= -a + z2
             fired = cond_up | cond_dn
@@ -144,13 +150,21 @@ def run_privsprt(cfg: PrivSprtConfig, observations: Iterable[int]) -> TestOutcom
                     exhausted=False,
                     samples_consumed=tau,
                 )
-            n_done += got
             carry = float(stat[-1])
-        if got < want:
-            raise StreamExhaustedError(
-                f"observation stream ended after {n_done} bits, before the horizon"
-            )
-    return TestOutcome(cfg.horizon, None, True, cfg.horizon)
+        return TestOutcome(cfg.horizon, None, True, cfg.horizon)
+
+
+def run_privsprt(cfg: PrivSprtConfig | Trial, observations: Iterable[int]) -> TestOutcome:
+    """Run PrivSPRT on a bit stream.
+
+    Per step the clamped log-likelihood ratio joins the running sum; the
+    upper comparison statistic + Y1 >= b + Z1 is checked first (decision 1),
+    then statistic + Y2 <= -a + Z2 (decision 0). In place of a config, `cfg`
+    may be a prepared kernel's `trial(seed)`.
+    """
+    if isinstance(cfg, PrivSprtConfig):
+        cfg = PrivSprtKernel(cfg).trial(cfg.seed)
+    return cfg.run(observations)
 
 
 def default_threshold_grid(cfg: PrivSprtConfig, target_alpha: float) -> list[tuple[float, float]]:

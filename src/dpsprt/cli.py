@@ -40,7 +40,7 @@ from .harness import (
     write_trials_csv,
 )
 from .privacy_accounting import estimate_tau_sq, gaussian_rdp_profile, rdp_to_approx_dp
-from .rngcore import StreamKey, Substream, derive
+from .rngcore import StreamKey, Substream, derive, fnv1a64
 from .svg import write_line_chart
 
 EXIT_OK = 0
@@ -234,18 +234,12 @@ def _calibrate_privsprt_cells(cells, alpha, beta, seed, pilot):
     for cell in cells:
         cfg = cell.config
         if isinstance(cfg, PrivSprtConfig) and cfg.thresh_a is None:
-            rng = derive(StreamKey(seed, _vid_int(cell.variant_id), 0, Substream.PILOT))
+            rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
             cal = calibrate_privsprt(cfg, alpha, beta, pilot_trials=pilot, rng=rng)
             cfg = replace(cfg, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
             cell = replace(cell, config=cfg)
         out.append(cell)
     return out
-
-
-def _vid_int(variant_id: str) -> int:
-    from .harness import _fnv1a64
-
-    return _fnv1a64(variant_id)
 
 
 def _truths(opts) -> list[int]:
@@ -302,7 +296,7 @@ def _accounting(cells, opts, args, seed):
             if tau_bound is not None:
                 tsq, source = float(tau_bound), "asserted"
             elif getattr(args, "accounting", False):
-                rng = derive(StreamKey(seed, _vid_int(cell.variant_id), 0, Substream.PILOT))
+                rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
                 est = estimate_tau_sq(cfg, 100, rng)
                 tsq, source = est.value, f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
             else:

@@ -14,6 +14,10 @@ failing that, xbar_n + Y_n/n >= upper(n) + Z/n (decide 1). The subsampled
 variant keeps each observation with probability r, divides the budget term
 by the included count M_n, and multiplies the noise and correction terms
 by r, with unchanged Laplace scales.
+
+All variants run in one chunked loop, `TestKernel.run`. A kernel is
+prepared once per configuration and reused across trials; `run_test` on a
+bare configuration prepares one for a single trial.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .noise import (
     sample_z,
 )
 from .outside_interval import StreamExhaustedError
-from .rngcore import StreamKey, Substream, derive
+from .rngcore import StreamKey, Substream, derive, rekey
 
 __all__ = [
     "Classical",
@@ -51,12 +55,17 @@ __all__ = [
     "resolved_gamma",
     "threshold_lower",
     "threshold_upper",
+    "BitReader",
+    "TestKernel",
+    "Trial",
     "run_test",
     "run_test_subsampled",
 ]
 
 _CHUNK_START = 128
-_CHUNK_CAP = 16384
+# larger chunks overshoot the stopping time by more, and their noise
+# arrays stop fitting in the CPU cache
+_CHUNK_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,7 @@ class TestOutcome:
     included_count: int | None = None
 
 
-class _BitReader:
+class BitReader:
     """Chunked access to a stream of bits with value validation."""
 
     def __init__(self, source: Iterable[int]):
@@ -181,6 +190,27 @@ class _BitReader:
             bad = bits[(bits != 0) & (bits != 1)][0]
             raise ValueError(f"observations must be bits in {{0,1}}, got {bad!r}")
         return bits.astype(np.int64, copy=False)
+
+    def chunks(self, horizon: int, first: int = _CHUNK_START):
+        """Yield (steps done before the chunk, its bits) over chunks that
+        double from `first` bits up to 4096, until `horizon` bits have been
+        read.
+
+        Raises StreamExhaustedError if the stream ends before the horizon.
+        """
+        n_done = 0
+        chunk = first
+        while n_done < horizon:
+            want = min(chunk, horizon - n_done)
+            bits = self.take(want)
+            if bits.size:
+                yield n_done, bits
+                n_done += bits.size
+            if bits.size < want:
+                raise StreamExhaustedError(
+                    f"observation stream ended after {n_done} bits, before the horizon"
+                )
+            chunk = min(chunk * 2, _CHUNK_CAP)
 
 
 @dataclass(frozen=True)
@@ -238,77 +268,131 @@ def _resolve(cfg: TestConfig) -> _Resolved:
     return _Resolved(spec, corr_family, params, gamma, log_b, log_a, delta_lo, delta_hi, rate)
 
 
-def _thresholds_vec(cfg, res, n, m=None):
-    """Lower/upper thresholds over an array of step counts.
+def _corrections(res: _Resolved, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n-only threshold terms r * C(n, delta) below and above."""
+    if res.corr_family is NoiseFamily.ZERO:
+        zero = np.zeros_like(n)
+        return zero, zero
+    return (
+        res.rate * correction_vec(res.params, res.corr_family, n, res.delta_lo),
+        res.rate * correction_vec(res.params, res.corr_family, n, res.delta_hi),
+    )
 
-    `m` is the divisor of the budget terms (the included count for the
-    subsampled rule); it defaults to n. Entries with m = 0 yield -inf/+inf
-    so that no comparison can fire there.
+
+def _thresholds_vec(hyp: HypothesisPair, res: _Resolved, m, c_lo, c_hi):
+    """Lower/upper thresholds given the corrections over the same steps.
+
+    `m` is the divisor of the budget terms: the step count, or the
+    included count for the subsampled rule. Entries with m = 0 yield
+    -inf/+inf so that no comparison can fire there.
     """
-    hyp = cfg.hypotheses
-    n = np.asarray(n, dtype=np.float64)
-    m = n if m is None else np.asarray(m, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
     with np.errstate(divide="ignore"):
         inv_m = np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), np.inf)
-    c_lo = res.rate * correction_vec(res.params, res.corr_family, n, res.delta_lo) \
-        if res.corr_family is not NoiseFamily.ZERO else np.zeros_like(n)
-    c_hi = res.rate * correction_vec(res.params, res.corr_family, n, res.delta_hi) \
-        if res.corr_family is not NoiseFamily.ZERO else np.zeros_like(n)
     lower = hyp.mu0 + (hyp.kl01 - res.log_b * inv_m) / hyp.dtheta - c_lo
     upper = hyp.mu1 - (hyp.kl10 - res.log_a * inv_m) / hyp.dtheta + c_hi
     return lower, upper
 
 
+def _thresholds_at(cfg: TestConfig, n: int, included: int | None):
+    res = _resolve(cfg)
+    steps = np.array([float(n)])
+    m = steps if included is None else np.array([float(included)])
+    return _thresholds_vec(cfg.hypotheses, res, m, *_corrections(res, steps))
+
+
 def threshold_lower(cfg: TestConfig, n: int, included: int | None = None) -> float:
     """Lower stopping threshold at step n (budget divisor `included` for the
     subsampled rule; defaults to n)."""
-    res = _resolve(cfg)
-    m = None if included is None else np.array([float(included)])
-    return float(_thresholds_vec(cfg, res, np.array([float(n)]), m)[0][0])
+    return float(_thresholds_at(cfg, n, included)[0][0])
 
 
 def threshold_upper(cfg: TestConfig, n: int, included: int | None = None) -> float:
     """Upper stopping threshold at step n."""
-    res = _resolve(cfg)
-    m = None if included is None else np.array([float(included)])
-    return float(_thresholds_vec(cfg, res, np.array([float(n)]), m)[1][0])
+    return float(_thresholds_at(cfg, n, included)[1][0])
 
 
-def run_test(cfg: TestConfig, observations: Iterable[int]) -> TestOutcome:
-    """Run the test on a bit stream until a decision or the horizon.
+class Trial(NamedTuple):
+    """One trial of a prepared kernel: the seed its noise streams derive from."""
 
-    Z is drawn once up front; each step consumes one observation and one
-    fresh Y. The lower comparison is evaluated before the upper one.
-    Observation, Y, and Z streams derive from cfg.seed independently, so
-    identical (cfg, stream) inputs replay the identical outcome.
+    kernel: "TestKernel | PrivSprtKernel"
+    seed: int
 
-    The reader buffers ahead of the stopping point for speed; treat the
-    observation iterable as owned by this run and do not reuse it.
+    def run(self, observations: Iterable[int]) -> TestOutcome:
+        return self.kernel.run(self.seed, observations)
+
+
+class TestKernel:
+    """A test configuration prepared once and run for many trials.
+
+    It resolves the configuration's constants, keeps threshold tables over
+    the step counts seen so far, and keeps the Y, Z and subsampling
+    generators, which each run resets to the start of its seed's streams.
+    The tables hold the same values `threshold_lower` and `threshold_upper`
+    give; for the subsampled rule they hold only the n-only correction
+    terms, and the budget term, which divides by the included count, is
+    added per chunk.
     """
-    if isinstance(cfg.variant, LaplaceSub):
-        return run_test_subsampled(cfg, observations)
-    res = _resolve(cfg)
-    reader = _BitReader(observations)
-    rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
-    rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
-    z = float(sample_z(res.spec, rng_z))
 
-    n_done = 0
-    xsum = 0
-    chunk = _CHUNK_START
-    while n_done < cfg.horizon:
-        want = min(chunk, cfg.horizon - n_done)
-        bits = reader.take(want)
-        got = bits.size
-        if got:
-            n = n_done + 1 + np.arange(got, dtype=np.float64)
-            csum = xsum + np.cumsum(bits)
-            xbar = csum / n
+    def __init__(self, cfg: TestConfig):
+        self.cfg = cfg
+        self._res = _resolve(cfg)
+        self._rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
+        self._rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
+        self._rng_b = None
+        if isinstance(cfg.variant, LaplaceSub):
+            self._rng_b = derive(StreamKey(cfg.seed, substream=Substream.SUBSAMPLE))
+        self._lo = self._hi = np.empty(0)
+
+    def trial(self, seed: int) -> Trial:
+        return Trial(self, seed)
+
+    def _thresholds(self, start: int, stop: int, m) -> tuple[np.ndarray, np.ndarray]:
+        """Thresholds at steps start+1..stop; `m` holds the included counts
+        there for the subsampled rule. Grows the tables to cover `stop`, at
+        least doubling them."""
+        if self._lo.size < stop:
+            size = min(max(stop, 2 * self._lo.size), self.cfg.horizon)
+            n = np.arange(1, size + 1, dtype=np.float64)
+            self._lo, self._hi = _corrections(self._res, n)
+            if self._rng_b is None:
+                self._lo, self._hi = _thresholds_vec(
+                    self.cfg.hypotheses, self._res, n, self._lo, self._hi
+                )
+        lo, hi = self._lo[start:stop], self._hi[start:stop]
+        if self._rng_b is None:
+            return lo, hi
+        return _thresholds_vec(self.cfg.hypotheses, self._res, m, lo, hi)
+
+    def run(self, seed: int, observations: Iterable[int]) -> TestOutcome:
+        """Run the trial whose noise streams derive from `seed`."""
+        res = self._res
+        rate = res.rate
+        rng_y = rekey(self._rng_y, StreamKey(seed, substream=Substream.NOISE_Y))
+        rng_z = rekey(self._rng_z, StreamKey(seed, substream=Substream.NOISE_Z))
+        z = float(sample_z(res.spec, rng_z))
+        rng_b = self._rng_b
+        if rng_b is not None:
+            rekey(rng_b, StreamKey(seed, substream=Substream.SUBSAMPLE))
+        s_carry = m_carry = 0
+        for n_done, bits in BitReader(observations).chunks(self.cfg.horizon):
+            got = bits.size
+            n = np.arange(n_done + 1, n_done + got + 1, dtype=np.float64)
             y = np.atleast_1d(sample_y(res.spec, rng_y, got))
-            stat = xbar + y / n
-            lower, upper = _thresholds_vec(cfg, res, n)
-            cond0 = stat <= lower - z / n
-            cond1 = stat >= upper + z / n
+            if rng_b is not None:
+                include = rng_b.random(got) < rate
+                s = s_carry + np.cumsum(bits * include)
+                m = m_carry + np.cumsum(include)
+                valid = m > 0
+                xbar = np.divide(s, m, out=np.zeros(got), where=valid)
+            else:
+                s = m = s_carry + np.cumsum(bits)
+                valid = True
+                xbar = s / n
+            lower, upper = self._thresholds(n_done, n_done + got, m)
+            stat = xbar + rate * y / n
+            cond0 = valid & (stat <= lower - rate * z / n)
+            cond1 = valid & (stat >= upper + rate * z / n)
             fired = cond0 | cond1
             if fired.any():
                 i = int(np.argmax(fired))
@@ -318,15 +402,31 @@ def run_test(cfg: TestConfig, observations: Iterable[int]) -> TestOutcome:
                     decision=0 if cond0[i] else 1,
                     exhausted=False,
                     samples_consumed=tau,
+                    included_count=int(m[i]) if rng_b is not None else None,
                 )
-            n_done += got
-            xsum = int(csum[-1])
-        if got < want:
-            raise StreamExhaustedError(
-                f"observation stream ended after {n_done} bits, before the horizon"
-            )
-        chunk = min(chunk * 2, _CHUNK_CAP)
-    return TestOutcome(cfg.horizon, None, True, cfg.horizon)
+            s_carry = int(s[-1])
+            m_carry = int(m[-1])
+        horizon = self.cfg.horizon
+        return TestOutcome(horizon, None, True, horizon,
+                           included_count=m_carry if rng_b is not None else None)
+
+
+def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcome:
+    """Run the test on a bit stream until a decision or the horizon.
+
+    Z is drawn once up front; each step consumes one observation and one
+    fresh Y. The lower comparison is evaluated before the upper one.
+    Observation, Y, and Z streams derive from cfg.seed independently, so
+    identical (cfg, stream) inputs replay the identical outcome. In place
+    of a config, `cfg` may be a prepared kernel's `trial(seed)`, which
+    gives what the config with that seed gives.
+
+    The reader buffers ahead of the stopping point for speed; treat the
+    observation iterable as owned by this run and do not reuse it.
+    """
+    if isinstance(cfg, TestConfig):
+        cfg = TestKernel(cfg).trial(cfg.seed)
+    return cfg.run(observations)
 
 
 def run_test_subsampled(cfg: TestConfig, observations: Iterable[int]) -> TestOutcome:
@@ -339,51 +439,4 @@ def run_test_subsampled(cfg: TestConfig, observations: Iterable[int]) -> TestOut
     """
     if not isinstance(cfg.variant, LaplaceSub):
         raise TypeError("run_test_subsampled requires a LaplaceSub variant")
-    rate = cfg.variant.rate
-    res = _resolve(cfg)
-    reader = _BitReader(observations)
-    rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
-    rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
-    rng_b = derive(StreamKey(cfg.seed, substream=Substream.SUBSAMPLE))
-    z = float(sample_z(res.spec, rng_z))
-
-    n_done = 0
-    s_carry = 0
-    m_carry = 0
-    chunk = _CHUNK_START
-    while n_done < cfg.horizon:
-        want = min(chunk, cfg.horizon - n_done)
-        bits = reader.take(want)
-        got = bits.size
-        if got:
-            n = n_done + 1 + np.arange(got, dtype=np.float64)
-            include = rng_b.random(got) < rate
-            s = s_carry + np.cumsum(bits * include)
-            m = m_carry + np.cumsum(include)
-            valid = m > 0
-            xbar_r = np.divide(s, m, out=np.zeros(got), where=valid)
-            y = np.atleast_1d(sample_y(res.spec, rng_y, got))
-            stat = xbar_r + rate * y / n
-            lower, upper = _thresholds_vec(cfg, res, n, m)
-            cond0 = valid & (stat <= lower - rate * z / n)
-            cond1 = valid & (stat >= upper + rate * z / n)
-            fired = cond0 | cond1
-            if fired.any():
-                i = int(np.argmax(fired))
-                tau = n_done + i + 1
-                return TestOutcome(
-                    tau=tau,
-                    decision=0 if cond0[i] else 1,
-                    exhausted=False,
-                    samples_consumed=tau,
-                    included_count=int(m[i]),
-                )
-            n_done += got
-            s_carry = int(s[-1])
-            m_carry = int(m[-1])
-        if got < want:
-            raise StreamExhaustedError(
-                f"observation stream ended after {n_done} bits, before the horizon"
-            )
-        chunk = min(chunk * 2, _CHUNK_CAP)
-    return TestOutcome(cfg.horizon, None, True, cfg.horizon, included_count=m_carry)
+    return run_test(cfg, observations)

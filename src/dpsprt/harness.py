@@ -4,7 +4,8 @@ A plan names an instance, a ground-truth hypothesis, a list of test
 variants, and a trial count. Trial i of variant v draws its observation
 and noise streams from keys derived injectively from (master_seed,
 variant_id, i), so results are bit-reproducible, independent of the order
-variants appear in the plan and of how many workers run the trials.
+variants appear in the plan and of how many workers run the trials. Each
+job runs a block of one variant's trials on one kernel prepared for it.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .baselines import PrivSprtConfig, run_privsprt
-from .dp_sprt import Classical, LaplaceSub, TestConfig, resolved_gamma, run_test
-from .rngcore import StreamKey, Substream, derive, mix64
+from .baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
+from .dp_sprt import Classical, LaplaceSub, TestConfig, TestKernel, resolved_gamma, run_test
+from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64
 
 __all__ = [
     "BitStream",
@@ -62,9 +63,13 @@ class BitStream:
         self._rng = rng
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
+        # the first refill draws only what is asked for: most tests stop
+        # within their first chunk
+        self._block = 0
 
     def _refill(self, k: int) -> None:
-        block = max(self._BLOCK, k)
+        block = max(self._block, k)
+        self._block = self._BLOCK
         fresh = (self._rng.random(block) < self._p).astype(np.int64)
         self._buf = np.concatenate([self._buf[self._pos:], fresh])
         self._pos = 0
@@ -137,28 +142,25 @@ class TrialRecord:
     seed: int
 
 
-def _fnv1a64(text: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
-    return h
-
-
 def _trial_seed(master_seed: int, vid: int, trial: int) -> int:
     return mix64(mix64(master_seed ^ mix64(vid)) ^ mix64(trial))
 
 
-def _run_one(args) -> TrialRecord:
-    p_truth, variant, master_seed, trial = args
-    vid = _fnv1a64(variant.variant_id)
-    token = _trial_seed(master_seed, vid, trial)
-    obs = bernoulli_stream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
-    cfg = replace(variant.config, seed=token)
-    if isinstance(cfg, PrivSprtConfig):
-        out = run_privsprt(cfg, obs)
+def _run_block(args) -> list[TrialRecord]:
+    """Trials start..stop-1 of one cell, on one kernel prepared for the cell."""
+    p_truth, variant, master_seed, start, stop = args
+    vid = fnv1a64(variant.variant_id)
+    if isinstance(variant.config, PrivSprtConfig):
+        kernel, run = PrivSprtKernel(variant.config), run_privsprt
     else:
-        out = run_test(cfg, obs)
-    return TrialRecord(trial, out.tau, out.decision, out.exhausted, token)
+        kernel, run = TestKernel(variant.config), run_test
+    records = []
+    for trial in range(start, stop):
+        token = _trial_seed(master_seed, vid, trial)
+        obs = bernoulli_stream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
+        out = run(kernel.trial(token), obs)
+        records.append(TrialRecord(trial, out.tau, out.decision, out.exhausted, token))
+    return records
 
 
 @dataclass(frozen=True)
@@ -230,17 +232,22 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRes
     results are identical at any worker count.
     """
     p_truth = plan.instance_p1 if plan.truth == 1 else plan.instance_p0
+    n = plan.n_trials
+    # one block per cell at one worker; with more, about eight blocks per
+    # worker over the plan, so that slow cells spread across the pool
+    per_cell = 1 if workers <= 1 else min(n, math.ceil(8 * workers / max(1, len(plan.variants))))
+    bounds = [n * k // per_cell for k in range(per_cell + 1)]
     jobs = [
-        (p_truth, variant, plan.master_seed, trial)
+        (p_truth, variant, plan.master_seed, start, stop)
         for variant in plan.variants
-        for trial in range(plan.n_trials)
+        for start, stop in zip(bounds, bounds[1:])
     ]
     if workers > 1 and len(jobs) > 1:
-        chunk = max(1, len(jobs) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, jobs, chunksize=chunk))
+            blocks = list(pool.map(_run_block, jobs))
     else:
-        records = [_run_one(job) for job in jobs]
+        blocks = [_run_block(job) for job in jobs]
+    records = [rec for block in blocks for rec in block]
     results = []
     for i, variant in enumerate(plan.variants):
         recs = records[i * plan.n_trials : (i + 1) * plan.n_trials]

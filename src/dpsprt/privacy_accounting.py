@@ -10,18 +10,16 @@ pilot runs and labeled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
-from .dp_sprt import TestConfig, run_test
+from .dp_sprt import TestConfig, TestKernel, run_test
 from .harness import bernoulli_stream
 from .rngcore import StreamKey, Substream, derive
 
 __all__ = [
     "PureDP",
-    "RDPProfile",
     "ApproxDP",
-    "PrivacyGuarantee",
     "laplace_budget",
     "gaussian_rdp_profile",
     "rdp_to_approx_dp",
@@ -40,13 +38,6 @@ class PureDP:
 
 
 @dataclass(frozen=True)
-class RDPProfile:
-    """Renyi DP profile: order alpha > 1 maps to the bound epsilon(alpha)."""
-
-    profile: Callable[[float], float]
-
-
-@dataclass(frozen=True)
 class ApproxDP:
     epsilon: float
     delta: float
@@ -54,9 +45,6 @@ class ApproxDP:
     def __post_init__(self) -> None:
         if self.epsilon < 0.0 or not 0.0 < self.delta < 1.0:
             raise ValueError("need epsilon >= 0 and delta in (0,1)")
-
-
-PrivacyGuarantee = Union[PureDP, RDPProfile, ApproxDP]
 
 
 def laplace_budget(
@@ -148,6 +136,7 @@ def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
     """
     if n_pilot < 100:
         raise ValueError("need at least 100 pilot runs")
+    kernel = TestKernel(cfg)
     worst = 0.0
     reliable = True
     for p in (cfg.hypotheses.mu0, cfg.hypotheses.mu1):
@@ -156,7 +145,7 @@ def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
         for _ in range(n_pilot):
             token = int(rng.integers(0, 1 << 63))
             obs = bernoulli_stream(p, derive(StreamKey(token, substream=Substream.PILOT)))
-            out = run_test(replace(cfg, seed=token), obs)
+            out = run_test(kernel.trial(token), obs)
             if out.exhausted:
                 reliable = False
             t2 = float(out.tau) ** 2

@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-__all__ = ["Substream", "StreamKey", "derive", "mix64", "uniform_open"]
+__all__ = ["Substream", "StreamKey", "derive", "rekey", "fnv1a64", "mix64", "uniform_open"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,6 +65,38 @@ def derive(key: StreamKey) -> np.random.Generator:
     w0, w1 = key.words()
     bitgen = np.random.Philox(key=np.array([w0, w1], dtype=np.uint64))
     return np.random.Generator(bitgen)
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4.setflags(write=False)
+
+
+def rekey(rng: np.random.Generator, key: StreamKey) -> np.random.Generator:
+    """Reset `rng`, a generator made by :func:`derive`, to the start of
+    `key`'s stream, so that it draws exactly what ``derive(key)`` would.
+
+    Philox is counter-based: a stream's start is its key with the block
+    counter and the output buffers at zero, so one generator can serve
+    many streams in turn without being rebuilt.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": np.array(key.words(), dtype=np.uint64)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def fnv1a64(text: str) -> int:
+    """FNV-1a 64-bit hash of a UTF-8 string; it turns a variant id into the
+    integer that keys the variant's streams."""
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+    return h
 
 
 def uniform_open(rng: np.random.Generator, size=None):

@@ -37,7 +37,7 @@ from dpsprt.noise import (
     sample_y,
     sample_z,
 )
-from dpsprt.rngcore import StreamKey, Substream, derive
+from dpsprt.rngcore import StreamKey, Substream, derive, fnv1a64
 
 MASTER_SEED = 20240817
 N_TRIALS = 1000
@@ -147,9 +147,7 @@ def test_criterion_05_privsprt_comparison(grid):
     for eps in (1.0, 5.0):
         vid = f"privsprt@eps={eps:g}"
         base = PrivSprtConfig.from_epsilon(HYP, eps, GAUSS_DELTA)
-        from dpsprt.harness import _fnv1a64
-
-        rng = derive(StreamKey(MASTER_SEED, _fnv1a64(vid), 0, Substream.PILOT))
+        rng = derive(StreamKey(MASTER_SEED, fnv1a64(vid), 0, Substream.PILOT))
         cal = calibrate_privsprt(base, ALPHA, BETA, pilot_trials=100, rng=rng)
         cfg = replace(base, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
         plan = ExperimentPlan(

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file outputs, reruns."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -79,6 +80,26 @@ class TestSimulate:
         assert rc == EXIT_OK
         assert _read(out1 / "trials.csv") == _read(out2 / "trials.csv")
         assert _read(out1 / "summary.csv") == _read(out2 / "summary.csv")
+
+    # SHA-256 of (trials.csv, summary.csv) for all five variants at eps 1
+    # and 5, both truths, 50 trials. A change to these bytes is a change of
+    # behaviour, not of speed: say so and why, and mark it in the manifest.
+    PINNED = {
+        7: ("ca155f9169cbcfd79a5a34c41fe4fe91a99d013f04fdd19c258a2b75abecc944",
+            "fd8ed0e38e5584a7b7a5411304d18d1f1cca414afa25824f8bc9ca78dc4cbb43"),
+        20240817: ("4b18de638fb8677ba4c2baa2b02161bbbcd85a580c2a40bb6488c26d7ddf6678",
+                   "b9e2be8819a4d482a043ccc561fc7142ab6e924a3f32cdedf0f66a400a3aff4b"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, tmp_path, seed, workers):
+        rc = main(["simulate", "--trials", "50", "--eps", "1,5", "--truth", "both",
+                   "--seed", str(seed), "--workers", str(workers), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        got = tuple(hashlib.sha256(_read(tmp_path / name)).hexdigest()
+                    for name in ("trials.csv", "summary.csv"))
+        assert got == self.PINNED[seed]
 
     def test_zero_trials_is_config_error(self, tmp_path):
         rc = main(["simulate", "--trials", "0", "--out", str(tmp_path / "x")])

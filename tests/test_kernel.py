@@ -1,0 +1,127 @@
+"""Prepared kernels: one kernel reused over many trials, with its threshold
+tables grown on demand, gives what a fresh run of each trial gives, at any
+chunk, table-growth or horizon boundary and at any worker count."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dpsprt.baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
+from dpsprt.dp_sprt import (
+    Classical,
+    Gaussian,
+    Laplace,
+    LaplaceSub,
+    TestConfig,
+    TestKernel,
+    gaussian_scales,
+    run_test,
+    threshold_lower,
+    threshold_upper,
+)
+from dpsprt.exp_family import HypothesisPair
+from dpsprt.harness import ExperimentPlan, PlannedVariant, bernoulli_stream, run_experiment
+from dpsprt.rngcore import StreamKey, derive
+
+HYP = HypothesisPair.of(0.3, 0.7)
+
+
+def _configs(eps):
+    sy, sz = gaussian_scales(eps)
+    priv = PrivSprtConfig.from_epsilon(HYP, eps)
+    return {
+        "classical": TestConfig(HYP, 0.05, 0.05, Classical()),
+        "laplace": TestConfig(HYP, 0.05, 0.05, Laplace(eps)),
+        "gaussian": TestConfig(HYP, 0.05, 0.05, Gaussian(sy, sz), gamma=0.5),
+        "laplace_sub": TestConfig(HYP, 0.05, 0.05, LaplaceSub(eps, 0.4)),
+        # thresholds near where calibration puts them
+        "privsprt": replace(priv, thresh_a=375.0 / eps, thresh_b=375.0 / eps),
+    }
+
+
+def _obs(p, tag):
+    return bernoulli_stream(p, derive(StreamKey(505, 0, tag)))
+
+
+def _prepared(cfg):
+    """The kernel and the run function for a configuration."""
+    if isinstance(cfg, PrivSprtConfig):
+        return PrivSprtKernel(cfg), run_privsprt
+    return TestKernel(cfg), run_test
+
+
+def _run(cfg, obs):
+    return _prepared(cfg)[1](cfg, obs)
+
+
+@pytest.mark.parametrize("name", list(_configs(1.0)))
+def test_reused_kernel_matches_fresh_runs(name):
+    cfg = _configs(1.0)[name]
+    kernel, run = _prepared(cfg)
+    taus = []
+    for seed in range(50):
+        p = HYP.mu1 if seed % 2 else HYP.mu0
+        reused = run(kernel.trial(seed), _obs(p, seed))
+        assert reused == _run(replace(cfg, seed=seed), _obs(p, seed))
+        taus.append(reused.tau)
+    if name != "classical":
+        # some trials outrun the first chunk, so the tables grew in use
+        assert max(taus) > 128
+
+
+@pytest.mark.parametrize("eps", [1.0, 5.0])
+@pytest.mark.parametrize("name", list(_configs(1.0)))
+def test_horizon_boundary(name, eps):
+    cfg = _configs(eps)[name]
+    for tag in range(6):
+        p = HYP.mu0 if tag % 2 else HYP.mu1
+        out = _run(cfg, _obs(p, tag))
+        assert not out.exhausted
+        at = _run(replace(cfg, horizon=out.tau), _obs(p, tag))
+        assert (at.tau, at.decision, at.exhausted) == (out.tau, out.decision, False)
+        if out.tau > 1:
+            before = _run(replace(cfg, horizon=out.tau - 1), _obs(p, tag))
+            assert (before.tau, before.decision, before.exhausted) == (out.tau - 1, None, True)
+
+
+@pytest.mark.parametrize("name", ["classical", "laplace", "gaussian", "laplace_sub"])
+def test_tables_match_thresholds_bit_for_bit(name):
+    horizon = 10_000
+    cfg = replace(_configs(1.0)[name], horizon=horizon)
+    kernel = TestKernel(cfg)
+    sizes = []
+    start = 0
+    # ask for the tables chunk by chunk, as runs do: they grow at each chunk
+    # end and stop at the horizon
+    for stop in [128, 384, 896, 1920, 3968, 8064, 12160]:
+        stop = min(stop, horizon)
+        included = np.arange(start + 1, stop + 1) // 3  # includes 0: no comparison there
+        lower, upper = kernel._thresholds(start, stop, included)
+        sizes.append(kernel._lo.size)
+        for n in (start + 1, start + 2, stop - 1, stop):
+            m = int(included[n - start - 1]) if name == "laplace_sub" else None
+            assert lower[n - start - 1] == threshold_lower(cfg, n, included=m)
+            assert upper[n - start - 1] == threshold_upper(cfg, n, included=m)
+        start = stop
+    assert sizes == [128, 384, 896, 1920, 3968, 8064, horizon]
+
+
+def _plan(n_trials, eps=5.0):
+    cells = tuple(PlannedVariant(f"{name}@eps={eps:g}", cfg, eps)
+                  for name, cfg in _configs(eps).items())
+    return ExperimentPlan(HYP.mu0, HYP.mu1, 0, cells, n_trials, 31)
+
+
+def test_records_do_not_depend_on_workers_or_blocks():
+    by_count = {}
+    for n_trials in (1, 7, 257):
+        serial = run_experiment(_plan(n_trials), workers=1)
+        pooled = run_experiment(_plan(n_trials), workers=2)
+        assert [r.trials for r in serial] == [r.trials for r in pooled]
+        assert [r.stats for r in serial] == [r.stats for r in pooled]
+        by_count[n_trials] = [r.trials for r in serial]
+    # a trial's record does not depend on which block ran it
+    for cell in range(len(by_count[1])):
+        assert by_count[7][cell][:1] == by_count[1][cell]
+        assert by_count[257][cell][:7] == by_count[7][cell]

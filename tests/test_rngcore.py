@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dpsprt.rngcore import StreamKey, Substream, derive, mix64, uniform_open
+from dpsprt.rngcore import StreamKey, Substream, derive, fnv1a64, mix64, rekey, uniform_open
 
 # Philox outputs are fixed by the algorithm, so these stay stable across
 # platforms and library versions.
@@ -12,6 +12,15 @@ FROZEN_OUT = [
     5176623856957414773,
     12870731371282169378,
     3247087706817271187,
+]
+# integers(0, 2**53) of a generator reset to FROZEN_REKEY, the draws
+# uniform_open turns into noise
+FROZEN_REKEY = StreamKey(12345, 7, 42, Substream.NOISE_Z)
+FROZEN_REKEY_OUT = [
+    2409444279985132,
+    5171776653199092,
+    3708923099658196,
+    3192576497633132,
 ]
 
 
@@ -42,6 +51,35 @@ def test_frozen_reference_outputs():
     assert list(map(int, _u64(derive(FROZEN_KEY), 4))) == FROZEN_OUT
 
 
+def _used_generator():
+    """A generator with state in every buffer: a 32-bit bounded draw leaves
+    half a word cached, and random_raw stops inside a 4-word Philox block."""
+    rng = derive(StreamKey(77))
+    rng.random(5)
+    rng.integers(0, 1000)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    rng.bit_generator.random_raw(3)
+    return rng
+
+
+def test_rekey_replays_derive():
+    key = StreamKey(9, 1, 2, Substream.NOISE_Y)
+    for draw in (
+        lambda rng: rng.random(7),
+        lambda rng: rng.integers(0, 1 << 53, size=7, dtype=np.int64),
+        lambda rng: rng.bit_generator.random_raw(7),
+    ):
+        rng = _used_generator()
+        assert rekey(rng, key) is rng
+        assert np.array_equal(draw(rng), draw(derive(key)))
+
+
+def test_frozen_rekey_outputs():
+    rng = rekey(_used_generator(), FROZEN_REKEY)
+    got = rng.integers(0, 1 << 53, size=4, dtype=np.int64)
+    assert list(map(int, got)) == FROZEN_REKEY_OUT
+
+
 def test_uniform_mean():
     u = derive(StreamKey(1)).random(10**6)
     assert abs(u.mean() - 0.5) < 0.0016
@@ -60,6 +98,13 @@ def test_uniform_open_stays_inside_unit_interval():
     u = uniform_open(derive(StreamKey(3)), 10**5)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def test_fnv1a64_reference_values():
+    # published FNV-1a 64-bit test vectors
+    assert fnv1a64("") == 0xCBF29CE484222325
+    assert fnv1a64("a") == 0xAF63DC4C8601EC8C
+    assert fnv1a64("foobar") == 0x85944171F73967E8
 
 
 def test_mix64_is_deterministic_and_spreads():
