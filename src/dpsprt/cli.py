@@ -1,10 +1,11 @@
 """Command-line front end: simulate | bounds | compare | tune-kappa.
 
-Configuration comes from a flat key=value text file (``#`` comments), with
-every key overridable by a flag; flags win. A manifest is serialized next
-to the outputs so that any result can be re-run bit-identically by passing
-the manifest as the config file. Exit codes: 0 success, 2 configuration
-error, 3 infeasible calibration or tuning, 1 internal error.
+Every option is one key of OPTIONS. A key can be set by its flag, by a line
+of a flat key=value text file (``#`` comments), or by a manifest; flags win.
+A manifest is serialized next to the outputs so that any result can be
+re-run bit-identically by passing the manifest as the config file. Exit
+codes: 0 success, 2 configuration error, 3 infeasible calibration or
+tuning, 1 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -50,24 +52,45 @@ EXIT_INFEASIBLE = 3
 
 ALL_VARIANTS = ["classical", "laplace", "gaussian", "laplace_sub", "privsprt"]
 
-DEFAULTS = {
-    "p0": "0.3",
-    "p1": "0.7",
-    "alpha": "0.05",
-    "beta": "0.05",
-    "gamma": "auto",
-    "rate": "auto",
-    "eps": "0.1,1,5",
-    "variants": ",".join(ALL_VARIANTS),
-    "trials": "1000",
-    "seed": "",
-    "horizon": "1000000",
-    "s": "2.0",
-    "kappa": "1.0",
-    "truth": "H0",
-    "delta": "1e-5",
-    "privsprt_pilot": "100",
+# key: (default text, help). A key's flag is --key with "_" written as "-",
+# unless FLAGS names it. Values stay text until a subcommand parses them, so
+# a flag, a config line and a manifest entry all pass the same _parse_* check.
+OPTIONS = {
+    "seed": ("", "master seed; when unset, DPSPRT_SEED or else 0"),
+    "trials": ("1000", "Monte Carlo trials per cell"),
+    "p0": ("0.3", "null-hypothesis success probability"),
+    "p1": ("0.7", "alternative success probability"),
+    "alpha": ("0.05", "target type I error"),
+    "beta": ("0.05", "target type II error"),
+    "gamma": ("auto", "error allocation in (0,1), or 'auto'"),
+    "rate": ("auto", "subsampling rate in (0,1], or 'auto'"),
+    "s": ("2.0", "zeta exponent of the correction"),
+    "kappa": ("1.0", "correction scale in (0,1]"),
+    "horizon": ("1000000", "step budget of one trial"),
+    "eps": ("0.1,1,5", "comma-separated epsilon grid"),
+    "variants": (",".join(ALL_VARIANTS), "comma-separated subset of the variants"),
+    "truth": ("H0", "H0, H1, or both"),
+    "delta": ("1e-5", "Gaussian DP delta"),
+    "privsprt_pilot": ("100", "pilot paths per PrivSPRT calibration"),
+    "accounting": ("no", "estimate the Gaussian RDP tau^2 term from pilot runs"),
+    "tau_sq_bound": ("", "asserted bound (>= 1) for the Gaussian RDP tau^2 term"),
+    "rdp_alpha": ("2.0", "Renyi order (> 1) of the Gaussian accounting"),
+    "svg": ("no", "also write an SVG chart"),
+    "bounds_eps": ("", "privacy parameter; unset gives the non-private report"),
+    "tune_eps": ("1.0", "privacy parameter"),
+    "tune_kappa_grid": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+                        "comma-separated kappa grid in (0,1]"),
+    "tune_pilot_trials": ("200", "pilot trials per kappa and truth"),
+    "tune_confirm_trials": ("1000", "confirmation trials per truth"),
 }
+FLAGS = {
+    "bounds_eps": "--eps",
+    "tune_eps": "--eps",
+    "tune_kappa_grid": "--kappa-grid",
+    "tune_pilot_trials": "--pilot-trials",
+    "tune_confirm_trials": "--confirm-trials",
+}
+SWITCHES = ("accounting", "svg")  # their flags take no value and set "yes"
 
 
 class ConfigError(Exception):
@@ -75,51 +98,48 @@ class ConfigError(Exception):
 
 
 def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+    """The key = value pairs of a config file, or the config of a manifest."""
     if path.endswith(".json"):
         try:
             with open(path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: cannot read manifest ({exc})") from None
-        cfg = manifest.get("config", manifest)
+        cfg = manifest.get("config", manifest) if isinstance(manifest, dict) else None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: manifest has no config mapping")
-        return {str(k): str(v) for k, v in cfg.items()}
-    try:
-        lines = open(path, encoding="utf-8").read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
-    return out
+        entries = [(path, str(k), str(v)) for k, v in cfg.items()]
+    else:
+        try:
+            lines = open(path, encoding="utf-8").read().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config ({exc})") from None
+        entries = []
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries.append((f"{path}:{lineno}", key, value))
+    for where, key, _ in entries:
+        if key not in OPTIONS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return {key: value for _, key, value in entries}
 
 
 def _resolve_options(args) -> dict[str, str]:
-    opts = dict(DEFAULTS)
+    """The subcommand's keys: defaults, then the config file, then flags.
+    Keys of other subcommands in the config file are ignored."""
+    opts = {key: OPTIONS[key][0] for key in args.keys}
     if args.config:
-        opts.update(_read_config(args.config))
-    flag_map = {
-        "p0": args.p0, "p1": args.p1, "alpha": args.alpha, "beta": args.beta,
-        "gamma": args.gamma, "rate": args.rate, "eps": args.eps,
-        "variants": getattr(args, "variants", None), "trials": args.trials,
-        "seed": args.seed, "horizon": args.horizon, "s": args.s,
-        "kappa": args.kappa, "truth": getattr(args, "truth", None),
-        "delta": getattr(args, "delta", None),
-        "privsprt_pilot": getattr(args, "privsprt_pilot", None),
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            opts[key] = str(val)
-    if not opts.get("seed"):
+        saved = _read_config(args.config)
+        opts.update((key, saved[key]) for key in args.keys if key in saved)
+    for key in args.keys:
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
+    if not opts["seed"]:
         opts["seed"] = os.environ.get("DPSPRT_SEED", "0")
     return opts
 
@@ -129,11 +149,20 @@ def _parse_float(opts, key, lo=None, hi=None, open_lo=True, open_hi=True):
         v = float(opts[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number: {opts[key]!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"key {key!r}: not a finite number: {opts[key]!r}")
     if lo is not None and (v <= lo if open_lo else v < lo):
         raise ConfigError(f"key {key!r}: value {v} out of range")
     if hi is not None and (v >= hi if open_hi else v > hi):
         raise ConfigError(f"key {key!r}: value {v} out of range")
     return v
+
+
+def _parse_optional(opts, key, unset, *bounds, **sides) -> float | None:
+    """None when the key reads `unset` (such as 'auto'), else a checked float."""
+    if opts[key].strip().lower() == unset:
+        return None
+    return _parse_float(opts, key, *bounds, **sides)
 
 
 def _parse_int(opts, key, minimum):
@@ -146,22 +175,22 @@ def _parse_int(opts, key, minimum):
     return v
 
 
-def _flag_or_saved(flag, opts, key, default):
-    """Subcommand parameters outside the common key set: explicit flag wins,
-    then a value restored from a manifest, then the built-in default."""
-    if flag is not None:
-        return flag
-    return opts.get(key, default)
-
-
-def _parse_eps_list(opts) -> list[float]:
+def _parse_list(opts, key, hi=math.inf) -> list[float]:
+    """A nonempty comma-separated list of finite numbers in (0, hi]."""
     try:
-        eps = [float(tok) for tok in opts["eps"].split(",") if tok.strip()]
+        vals = [float(tok) for tok in opts[key].split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"key 'eps': not a number list: {opts['eps']!r}") from None
-    if not eps or any(e <= 0 for e in eps):
-        raise ConfigError("key 'eps': need a nonempty list of positive values")
-    return eps
+        raise ConfigError(f"key {key!r}: not a number list: {opts[key]!r}") from None
+    if not vals or any(not 0.0 < v <= hi or math.isinf(v) for v in vals):
+        raise ConfigError(f"key {key!r}: need a nonempty list of finite values in (0, {hi:g}]")
+    return vals
+
+
+def _parse_switch(opts, key) -> bool:
+    value = opts[key].strip().lower()
+    if value not in ("yes", "no"):
+        raise ConfigError(f"key {key!r}: expected yes or no, got {opts[key]!r}")
+    return value == "yes"
 
 
 def _parse_common(opts):
@@ -175,31 +204,20 @@ def _parse_common(opts):
     return HypothesisPair.of(p0, p1), alpha, beta, seed
 
 
-def _gamma_opt(opts) -> float | None:
-    if opts["gamma"].strip().lower() == "auto":
-        return None
-    return _parse_float(opts, "gamma", 0.0, 1.0)
-
-
-def _rate_opt(opts) -> float | None:
-    if opts["rate"].strip().lower() == "auto":
-        return None
-    return _parse_float(opts, "rate", 0.0, 1.0, open_hi=False)
-
-
-def _build_cells(opts):
-    """Expand (variant family) x (epsilon grid) into planned cells.
-
-    PrivSPRT cells come back uncalibrated; the caller calibrates them.
-    """
+def _run_grid(opts, truths, workers):
+    """Build the (variant family) x (epsilon grid) cells, calibrate the
+    PrivSPRT cells, and run the grid under each truth. Every grid key is
+    parsed before the first trial."""
     hyp, alpha, beta, seed = _parse_common(opts)
-    eps_list = _parse_eps_list(opts)
+    eps_list = _parse_list(opts, "eps")
     horizon = _parse_int(opts, "horizon", 1)
     s = _parse_float(opts, "s", 1.0)
     kappa = _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False)
     delta = _parse_float(opts, "delta", 0.0, 1.0)
-    gamma = _gamma_opt(opts)
-    rate = _rate_opt(opts)
+    gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
+    rate = _parse_optional(opts, "rate", "auto", 0.0, 1.0, open_hi=False)
+    trials = _parse_int(opts, "trials", 1)
+    pilot = _parse_int(opts, "privsprt_pilot", 1)
     names = [tok.strip() for tok in opts["variants"].split(",") if tok.strip()]
     for name in names:
         if name not in ALL_VARIANTS:
@@ -226,20 +244,17 @@ def _build_cells(opts):
             else:
                 cfg = PrivSprtConfig.from_epsilon(hyp, eps, delta, horizon=horizon)
             cells.append(PlannedVariant(vid, cfg, eps))
-    return cells, hyp, alpha, beta, seed
-
-
-def _calibrate_privsprt_cells(cells, alpha, beta, seed, pilot):
-    out = []
-    for cell in cells:
-        cfg = cell.config
-        if isinstance(cfg, PrivSprtConfig) and cfg.thresh_a is None:
+    for i, cell in enumerate(cells):
+        if isinstance(cell.config, PrivSprtConfig):
             rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
-            cal = calibrate_privsprt(cfg, alpha, beta, pilot_trials=pilot, rng=rng)
-            cfg = replace(cfg, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
-            cell = replace(cell, config=cfg)
-        out.append(cell)
-    return out
+            cal = calibrate_privsprt(cell.config, alpha, beta, pilot_trials=pilot, rng=rng)
+            cfg = replace(cell.config, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
+            cells[i] = replace(cell, config=cfg)
+    results = []
+    for truth in truths:
+        plan = ExperimentPlan(hyp.mu0, hyp.mu1, truth, tuple(cells), trials, seed)
+        results.extend(run_experiment(plan, workers=workers))
+    return cells, hyp, results
 
 
 def _truths(opts) -> list[int]:
@@ -278,58 +293,59 @@ def _write_outputs(out_dir, command, opts, writers: dict, extra=None) -> None:
         fh.write("\n")
 
 
-def _accounting(cells, opts, args, seed):
-    """Privacy-guarantee metadata per cell, for the manifest."""
-    notes = {}
-    rdp_alpha = float(getattr(args, "rdp_alpha", 2.0) or 2.0)
-    tau_bound = getattr(args, "tau_sq_bound", None)
-    for cell in cells:
-        cfg = cell.config
-        if isinstance(cfg, PrivSprtConfig):
-            continue
-        v = cfg.variant
-        if isinstance(v, (Laplace, LaplaceSub)):
-            notes[cell.variant_id] = {"kind": "pure_dp", "epsilon": v.epsilon,
-                                      "delta": 0.0, "alpha_order": None,
-                                      "tau_sq_source": None}
-        elif isinstance(v, Gaussian):
-            if tau_bound is not None:
-                tsq, source = float(tau_bound), "asserted"
-            elif getattr(args, "accounting", False):
-                rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
-                est = estimate_tau_sq(cfg, 100, rng)
-                tsq, source = est.value, f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
-            else:
-                notes[cell.variant_id] = {
-                    "kind": "rdp", "epsilon": None, "delta": None,
-                    "alpha_order": rdp_alpha,
-                    "tau_sq_source": "unavailable (pass --accounting or --tau-sq-bound)",
-                }
+def _accounting(opts):
+    """Parse the accounting keys; return the function that gives each cell's
+    privacy guarantee, for the manifest."""
+    pilot = _parse_switch(opts, "accounting")
+    # tau >= 1, so E[tau^2] >= 1
+    tau_bound = _parse_optional(opts, "tau_sq_bound", "", 1.0, open_lo=False)
+    rdp_alpha = _parse_float(opts, "rdp_alpha", 1.0)
+    seed = _parse_int(opts, "seed", 0)
+
+    def guarantees(cells) -> dict:
+        notes = {}
+        for cell in cells:
+            cfg = cell.config
+            if isinstance(cfg, PrivSprtConfig):
                 continue
-            eps_alpha = gaussian_rdp_profile(v.sigma_y, v.sigma_z, tsq, rdp_alpha)
-            approx = rdp_to_approx_dp(lambda a: eps_alpha, rdp_alpha, 2.0 * eps_alpha)
-            notes[cell.variant_id] = {
-                "kind": "rdp_to_approx_dp", "epsilon": approx.epsilon,
-                "delta": approx.delta, "alpha_order": rdp_alpha,
-                "tau_sq_source": source,
-            }
-    return notes
+            v = cfg.variant
+            if isinstance(v, (Laplace, LaplaceSub)):
+                notes[cell.variant_id] = {"kind": "pure_dp", "epsilon": v.epsilon,
+                                          "delta": 0.0, "alpha_order": None,
+                                          "tau_sq_source": None}
+            elif isinstance(v, Gaussian):
+                if tau_bound is not None:
+                    tsq, source = tau_bound, "asserted"
+                elif pilot:
+                    rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
+                    est = estimate_tau_sq(cfg, 100, rng)
+                    tsq = est.value
+                    source = f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
+                else:
+                    notes[cell.variant_id] = {
+                        "kind": "rdp", "epsilon": None, "delta": None,
+                        "alpha_order": rdp_alpha,
+                        "tau_sq_source": "unavailable (pass --accounting or --tau-sq-bound)",
+                    }
+                    continue
+                eps_alpha = gaussian_rdp_profile(v.sigma_y, v.sigma_z, tsq, rdp_alpha)
+                approx = rdp_to_approx_dp(lambda a: eps_alpha, rdp_alpha, 2.0 * eps_alpha)
+                notes[cell.variant_id] = {
+                    "kind": "rdp_to_approx_dp", "epsilon": approx.epsilon,
+                    "delta": approx.delta, "alpha_order": rdp_alpha,
+                    "tau_sq_source": source,
+                }
+        return notes
+
+    return guarantees
 
 
-def cmd_simulate(args) -> int:
-    opts = _resolve_options(args)
-    cells, hyp, alpha, beta, seed = _build_cells(opts)
-    pilot = _parse_int(opts, "privsprt_pilot", 1)
-    trials = _parse_int(opts, "trials", 1)
+def cmd_simulate(opts, args) -> int:
     truths = _truths(opts)
-    cells = _calibrate_privsprt_cells(cells, alpha, beta, seed, pilot)
-    results = []
-    for truth in truths:
-        plan = ExperimentPlan(hyp.mu0, hyp.mu1, truth, tuple(cells), trials, seed)
-        results.extend(run_experiment(plan, workers=args.workers))
-    kappa = _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False)
-    extra = {"privacy_guarantees": _accounting(cells, opts, args, seed)}
-    if kappa < 1.0:
+    guarantees = _accounting(opts)
+    cells, hyp, results = _run_grid(opts, truths, args.workers)
+    extra = {"privacy_guarantees": guarantees(cells)}
+    if _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False) < 1.0:
         extra["warning"] = "kappa < 1: no formal correctness guarantee"
         print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
     _write_outputs(
@@ -344,20 +360,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    opts = _resolve_options(args)
+def cmd_bounds(opts, args) -> int:
     hyp, alpha, beta, _ = _parse_common(opts)
     if alpha + beta >= 1.0:
         raise ConfigError(f"need alpha + beta < 1, got {alpha} + {beta}")
     s = _parse_float(opts, "s", 1.0)
     kappa = _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False)
-    saved = _flag_or_saved(args.eps, opts, "bounds_eps", None)
-    eps = float(saved) if saved is not None else None
-    if eps is not None and eps <= 0:
-        raise ConfigError(f"epsilon must be positive, got {eps}")
-    if eps is not None:
-        opts["bounds_eps"] = f"{eps:g}"
-    gamma = _gamma_opt(opts)
+    eps = _parse_optional(opts, "bounds_eps", "", 0.0)
+    gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
     if gamma is None:
         gamma = default_gamma(eps) if eps is not None else 0.5
     report = build_report(hyp, alpha, beta, gamma, eps, s, kappa)
@@ -392,15 +402,9 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def cmd_compare(args) -> int:
-    opts = _resolve_options(args)
-    opts["truth"] = "H0"
-    cells, hyp, alpha, beta, seed = _build_cells(opts)
-    pilot = _parse_int(opts, "privsprt_pilot", 1)
-    trials = _parse_int(opts, "trials", 1)
-    cells = _calibrate_privsprt_cells(cells, alpha, beta, seed, pilot)
-    plan = ExperimentPlan(hyp.mu0, hyp.mu1, 0, tuple(cells), trials, seed)
-    results = run_experiment(plan, workers=args.workers)
+def cmd_compare(opts, args) -> int:
+    svg = _parse_switch(opts, "svg")
+    _, hyp, results = _run_grid(opts, [0], args.workers)
 
     rows = []
     for res in results:
@@ -424,7 +428,7 @@ def cmd_compare(args) -> int:
         "summary.csv": lambda p: write_summary_csv(p, results),
         "comparison.csv": write_comparison,
     }
-    if args.svg:
+    if svg:
         series = {}
         for eps, family, mean_tau, *_ in rows:
             series.setdefault(family, []).append((eps, mean_tau))
@@ -438,33 +442,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_tune_kappa(args) -> int:
-    opts = _resolve_options(args)
+def cmd_tune_kappa(opts, args) -> int:
     hyp, alpha, beta, seed = _parse_common(opts)
-    eps = float(_flag_or_saved(args.eps, opts, "tune_eps", "1.0"))
-    if eps <= 0:
-        raise ConfigError(f"epsilon must be positive, got {eps}")
+    eps = _parse_float(opts, "tune_eps", 0.0)
     s = _parse_float(opts, "s", 1.0)
     horizon = _parse_int(opts, "horizon", 1)
-    gamma = _gamma_opt(opts)
-    grid_text = str(_flag_or_saved(args.kappa_grid, opts, "tune_kappa_grid",
-                                   "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"))
-    pilot_trials = int(_flag_or_saved(args.pilot_trials, opts, "tune_pilot_trials", "200"))
-    confirm_trials = int(_flag_or_saved(args.confirm_trials, opts, "tune_confirm_trials", "1000"))
-    if pilot_trials < 1 or confirm_trials < 1:
-        raise ConfigError("pilot and confirmation trial counts must be positive")
-    try:
-        grid = sorted(float(tok) for tok in grid_text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--kappa-grid: not a number list: {grid_text!r}") from None
-    if not grid or any(not 0.0 < k <= 1.0 for k in grid):
-        raise ConfigError("--kappa-grid: values must lie in (0, 1]")
-    opts.update({
-        "tune_eps": f"{eps:g}",
-        "tune_kappa_grid": grid_text,
-        "tune_pilot_trials": str(pilot_trials),
-        "tune_confirm_trials": str(confirm_trials),
-    })
+    gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
+    grid = sorted(_parse_list(opts, "tune_kappa_grid", 1.0))
+    pilot_trials = _parse_int(opts, "tune_pilot_trials", 1)
+    confirm_trials = _parse_int(opts, "tune_confirm_trials", 1)
 
     def errors_for(kappa: float, n_trials: int, tag: str) -> tuple[float, float]:
         cfg = TestConfig(hyp, alpha, beta, Laplace(eps), gamma=gamma,
@@ -510,75 +496,49 @@ def cmd_tune_kappa(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, with_out=True) -> None:
-    p.add_argument("--config", help="flat key=value config file, or a manifest.json")
-    if with_out:
-        p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="master seed (fallback: DPSPRT_SEED)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--p1", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", default=None, help="error allocation in (0,1), or 'auto'")
-    p.add_argument("--rate", default=None, help="subsampling rate in (0,1], or 'auto'")
-    p.add_argument("--s", type=float, default=None, help="zeta exponent of the correction")
-    p.add_argument("--kappa", type=float, default=None, help="correction scale in (0,1]")
-    p.add_argument("--horizon", type=int, default=None)
+_COMMON = ("seed", "trials", "p0", "p1", "alpha", "beta", "gamma", "rate", "s", "kappa",
+           "horizon")
+_GRID = _COMMON + ("eps", "variants", "delta", "privsprt_pilot")
+# subcommand: (handler, default output directory, help, option keys)
+COMMANDS = {
+    "simulate": (cmd_simulate, "out", "run a seeded Monte Carlo experiment grid",
+                 _GRID + ("truth", "accounting", "tau_sq_bound", "rdp_alpha")),
+    "bounds": (cmd_bounds, None, "emit the bound report for one instance",
+               _COMMON + ("bounds_eps",)),
+    "compare": (cmd_compare, "out", "calibrate PrivSPRT and run a head-to-head grid",
+                _GRID + ("svg",)),
+    "tune-kappa": (cmd_tune_kappa, None, "search the smallest correction scale whose "
+                   "pilot errors stay below the targets",
+                   _COMMON + ("tune_eps", "tune_kappa_grid", "tune_pilot_trials",
+                              "tune_confirm_trials")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpsprt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dpsprt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment grid")
-    _add_common(p_sim)
-    p_sim.add_argument("--eps", default=None, help="comma-separated epsilon grid")
-    p_sim.add_argument("--variants", default=None, help=f"subset of {','.join(ALL_VARIANTS)}")
-    p_sim.add_argument("--truth", default=None, help="H0, H1, or both")
-    p_sim.add_argument("--delta", type=float, default=None, help="Gaussian DP delta")
-    p_sim.add_argument("--privsprt-pilot", dest="privsprt_pilot", type=int, default=None)
-    p_sim.add_argument("--accounting", action="store_true",
-                       help="estimate the Gaussian RDP tau^2 term from pilot runs")
-    p_sim.add_argument("--tau-sq-bound", dest="tau_sq_bound", type=float, default=None,
-                       help="asserted bound for the Gaussian RDP tau^2 term")
-    p_sim.add_argument("--rdp-alpha", dest="rdp_alpha", type=float, default=2.0)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_b = sub.add_parser("bounds", help="emit the bound report for one instance")
-    _add_common(p_b)
-    p_b.add_argument("--eps", type=float, default=None, help="privacy parameter (optional)")
-    p_b.set_defaults(func=cmd_bounds, out=None)
-    p_b.set_defaults(workers=1)
-
-    p_cmp = sub.add_parser("compare", help="calibrate PrivSPRT and run a head-to-head grid")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--eps", default=None, help="comma-separated epsilon grid")
-    p_cmp.add_argument("--variants", default=None)
-    p_cmp.add_argument("--delta", type=float, default=None)
-    p_cmp.add_argument("--privsprt-pilot", dest="privsprt_pilot", type=int, default=None)
-    p_cmp.add_argument("--svg", action="store_true", help="also write an SVG chart")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_tk = sub.add_parser("tune-kappa", help="search the smallest correction scale "
-                          "whose pilot errors stay below the targets")
-    _add_common(p_tk)
-    p_tk.add_argument("--eps", type=float, default=None)
-    p_tk.add_argument("--kappa-grid", dest="kappa_grid", default=None,
-                      help="comma list in (0,1]; default 0.1..1.0 in steps of 0.1")
-    p_tk.add_argument("--pilot-trials", dest="pilot_trials", type=int, default=None)
-    p_tk.add_argument("--confirm-trials", dest="confirm_trials", type=int, default=None)
-    p_tk.set_defaults(func=cmd_tune_kappa, out=None)
+    for name, (func, out, about, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func, keys=keys)
+        p.add_argument("--config", help="flat key=value config file, or a manifest.json")
+        p.add_argument("--out", default=out, help="output directory")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="worker processes (default: the CPU count)")
+        for key in keys:
+            default, text = OPTIONS[key]
+            flag = FLAGS.get(key, "--" + key.replace("_", "-"))
+            if key in SWITCHES:
+                p.add_argument(flag, dest=key, action="store_const", const="yes", help=text)
+            else:
+                p.add_argument(flag, dest=key, help=f"{text} (default: {default or 'unset'})")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve_options(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

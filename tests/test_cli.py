@@ -3,12 +3,14 @@
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dpsprt.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from dpsprt.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, OPTIONS, main
 
 
 def _read(path):
@@ -52,6 +54,13 @@ class TestBounds:
         manifest = json.loads((out / "manifest.json").read_text())
         for name in manifest["outputs"]:
             assert (out / name).exists()
+
+    def test_rerun_from_manifest_keeps_eps(self, tmp_path):
+        out1, out2 = tmp_path / "b1", tmp_path / "b2"
+        assert main(["bounds", "--eps", "1", "--out", str(out1)]) == EXIT_OK
+        rc = main(["bounds", "--config", str(out1 / "manifest.json"), "--out", str(out2)])
+        assert rc == EXIT_OK
+        assert _read(out1 / "bounds.csv") == _read(out2 / "bounds.csv")
 
 
 class TestSimulate:
@@ -100,6 +109,38 @@ class TestSimulate:
         got = tuple(hashlib.sha256(_read(tmp_path / name)).hexdigest()
                     for name in ("trials.csv", "summary.csv"))
         assert got == self.PINNED[seed]
+
+    def test_manifest_of_earlier_versions_replays(self, tmp_path):
+        """A manifest holding only the 16 keys that versions before the
+        option table recorded reproduces the pinned bytes."""
+        config = {
+            "p0": "0.3", "p1": "0.7", "alpha": "0.05", "beta": "0.05",
+            "gamma": "auto", "rate": "auto", "eps": "1,5",
+            "variants": "classical,laplace,gaussian,laplace_sub,privsprt",
+            "trials": "50", "seed": "7", "horizon": "1000000", "s": "2.0",
+            "kappa": "1.0", "truth": "both", "delta": "1e-05", "privsprt_pilot": "100",
+        }
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "simulate", "config": config}))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(manifest), "--out", str(out), "--workers", "1"])
+        assert rc == EXIT_OK
+        got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
+                    for name in ("trials.csv", "summary.csv"))
+        assert got == self.PINNED[7]
+
+    def test_rerun_from_manifest_keeps_accounting(self, tmp_path):
+        args = ["simulate", "--trials", "10", "--eps", "5", "--variants", "gaussian,laplace",
+                "--seed", "7", "--accounting", "--workers", "1"]
+        out1, out2 = tmp_path / "a1", tmp_path / "a2"
+        assert main(args + ["--out", str(out1)]) == EXIT_OK
+        rc = main(["simulate", "--config", str(out1 / "manifest.json"),
+                   "--out", str(out2), "--workers", "1"])
+        assert rc == EXIT_OK
+        first, second = (json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
+                         for out in (out1, out2))
+        assert first["gaussian@eps=5"]["kind"] == "rdp_to_approx_dp"
+        assert second == first
 
     def test_zero_trials_is_config_error(self, tmp_path):
         rc = main(["simulate", "--trials", "0", "--out", str(tmp_path / "x")])
@@ -201,13 +242,13 @@ class TestCompare:
 
     def test_rerun_from_compare_manifest(self, tmp_path):
         args = ["compare", "--trials", "20", "--eps", "1", "--seed", "3",
-                "--privsprt-pilot", "30", "--workers", "1"]
+                "--privsprt-pilot", "30", "--workers", "1", "--svg"]
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         rc = main(["compare", "--config", str(out1 / "manifest.json"),
                    "--out", str(out2), "--workers", "1"])
         assert rc == EXIT_OK
-        for name in ("comparison.csv", "trials.csv", "summary.csv"):
+        for name in ("comparison.csv", "comparison.svg", "trials.csv", "summary.csv"):
             assert _read(out1 / name) == _read(out2 / name)
 
     def test_calibration_failure_exit_code(self, tmp_path, capsys):
@@ -256,3 +297,72 @@ class TestTuneKappa:
         assert rc == EXIT_OK
         capsys.readouterr()
         assert _read(out1 / "tune_kappa.json") == _read(tmp_path / "t2" / "tune_kappa.json")
+
+
+# The --flags in each subcommand's --help, recorded before one option table
+# replaced the hand-written argument parsers.
+HELP_FLAGS = {
+    "simulate": "--accounting --alpha --beta --config --delta --eps --gamma --help "
+                "--horizon --kappa --out --p0 --p1 --privsprt-pilot --rate --rdp-alpha "
+                "--s --seed --tau-sq-bound --trials --truth --variants --workers",
+    "bounds": "--alpha --beta --config --eps --gamma --help --horizon --kappa --out "
+              "--p0 --p1 --rate --s --seed --trials --workers",
+    "compare": "--alpha --beta --config --delta --eps --gamma --help --horizon --kappa "
+               "--out --p0 --p1 --privsprt-pilot --rate --s --seed --svg --trials "
+               "--variants --workers",
+    "tune-kappa": "--alpha --beta --config --confirm-trials --eps --gamma --help "
+                  "--horizon --kappa --kappa-grid --out --p0 --p1 --pilot-trials --rate "
+                  "--s --seed --trials --workers",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_flags_are_pinned(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert flags == set(HELP_FLAGS[command].split())
+
+
+SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
+
+
+@pytest.mark.parametrize("argv, saved", [
+    (["simulate", "--tau-sq-bound", "-5"] + SMALL_GRID, None),
+    (["simulate", "--tau-sq-bound", "1e-9"] + SMALL_GRID, None),
+    (["simulate", "--tau-sq-bound", "inf"] + SMALL_GRID, None),
+    (["simulate", "--rdp-alpha", "0"] + SMALL_GRID, None),
+    (["simulate", "--rdp-alpha", "1"] + SMALL_GRID, None),
+    (["simulate"] + SMALL_GRID, "accounting = maybe"),
+    (["compare"] + SMALL_GRID, "svg = true"),
+    (["simulate"] + SMALL_GRID, {"tau_sq_bound": "0.5"}),
+    (["tune-kappa", "--pilot-trials", "5", "--confirm-trials", "5"], {"tune_eps": "abc"}),
+], ids=["tau_sq_bound-negative", "tau_sq_bound-below-1", "tau_sq_bound-inf",
+        "rdp_alpha-0", "rdp_alpha-1", "accounting-cfg", "svg-cfg",
+        "tau_sq_bound-manifest", "tune_eps-manifest"])
+def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
+    """A bad value from a flag, a config line or a manifest exits 2 before
+    the first trial, so no output directory appears."""
+    if isinstance(saved, dict):
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps({"config": saved}))
+        argv = argv + ["--config", str(config)]
+    elif saved:
+        config = tmp_path / "run.cfg"
+        config.write_text(saved + "\n")
+        argv = argv + ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--workers", "1"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_paper_defaults_are_options(tmp_path):
+    """Every key of the demo config, commented out or not, is an option,
+    and the file runs as a config."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "paper_defaults.cfg"
+    keys = re.findall(r"^#?\s*([a-z_0-9]+)\s*=", path.read_text(), re.M)
+    assert {"accounting", "tau_sq_bound", "rdp_alpha"} <= set(keys) <= set(OPTIONS)
+    rc = main(["simulate", "--config", str(path), "--trials", "2", "--eps", "5",
+               "--variants", "classical", "--out", str(tmp_path / "d"), "--workers", "1"])
+    assert rc == EXIT_OK

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpsprt import dp_sprt
 from dpsprt.baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
 from dpsprt.dp_sprt import (
     Classical,
@@ -68,6 +69,37 @@ def test_reused_kernel_matches_fresh_runs(name):
     if name != "classical":
         # some trials outrun the first chunk, so the tables grew in use
         assert max(taus) > 128
+
+
+def _outcomes():
+    """(tau, decision) of 20 trials, both truths, for every variant at eps
+    0.5, 1 and 5; one kernel per configuration, so its tables grow at the
+    chunk ends of the current schedule."""
+    out = {}
+    for eps in (0.5, 1.0, 5.0):
+        for name, cfg in _configs(eps).items():
+            kernel, run = _prepared(cfg)
+            for seed in range(20):
+                p = HYP.mu1 if seed % 2 else HYP.mu0
+                res = run(kernel.trial(seed), _obs(p, seed))
+                out[eps, name, seed] = (res.tau, res.decision)
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_outcomes():
+    return _outcomes()
+
+
+@pytest.mark.parametrize("cap", [1, 5, 128, 65536])
+def test_outcomes_do_not_depend_on_chunk_size(cap, default_outcomes, monkeypatch):
+    """For the four TestKernel variants S_n is an integer cumsum and every
+    threshold is a function of n alone, so any chunking gives the same
+    comparisons. PrivSPRT carries a float LLR sum from one chunk to the next
+    (carry + cumsum), so another chunking may add in another order; that it
+    does not change an outcome here is checked, not guaranteed."""
+    monkeypatch.setattr(dp_sprt, "_CHUNK_CAP", cap)
+    assert _outcomes() == default_outcomes
 
 
 @pytest.mark.parametrize("eps", [1.0, 5.0])
