@@ -35,6 +35,10 @@ __all__ = [
 # steps per pilot-path extension and in a run's first chunk: PrivSPRT
 # stops about twice as late as the Laplace test at the same epsilon
 _CHUNK = 512
+# pilot paths extended together in one block array; a cap keeps the block
+# small, so calibration's peak memory stays below that of the trials
+_ROWS = 32
+_NEVER = np.iinfo(np.int64).max  # first-crossing step of a threshold never crossed
 
 
 @dataclass(frozen=True)
@@ -180,62 +184,70 @@ def default_threshold_grid(cfg: PrivSprtConfig, target_alpha: float) -> list[tup
     return [(a, b) for a in vals for b in vals]
 
 
-class _PilotPath:
-    """One pilot trajectory's noisy boundary margins, extendable on demand.
+class _Pilots:
+    """Pilot paths extended in lockstep: per path the LLR carry, the step
+    count, and the first step at which a margin crossed each grid value."""
 
-    Keeps the running max of the upper margin and the running min of the
-    lower margin; a grid point (a, b) is decided once the max reaches b or
-    the min reaches -a.
-    """
+    def __init__(self, cfg: PrivSprtConfig, grid, probs: list[float], tokens: list[int]):
+        self._cfg, self._probs = cfg, probs
+        self._obs, self._y, rngs_z = (
+            [derive(StreamKey(t, substream=s)) for t in tokens]
+            for s in (Substream.OBS, Substream.NOISE_Y, Substream.NOISE_Z))
+        self._z = np.array([_gauss(rng, cfg.sigma1, 2) for rng in rngs_z])
+        l1, l0 = llr_steps(cfg.hypotheses)
+        self._inc = np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
+        self._carry = np.zeros(len(tokens))
+        self._n = np.zeros(len(tokens), dtype=np.int64)
+        # sorted distinct b and a values; the crossed ones form a prefix
+        self._levels = (np.unique([b for _, b in grid]), np.unique([a for a, _ in grid]))
+        self._first = tuple(np.full((len(tokens), v.size), _NEVER) for v in self._levels)
 
-    def __init__(self, cfg: PrivSprtConfig, p: float, token: int):
-        self._cfg = cfg
-        self._p = p
-        self._rng_obs = derive(StreamKey(token, substream=Substream.OBS))
-        self._rng_y = derive(StreamKey(token, substream=Substream.NOISE_Y))
-        self._rng_z = derive(StreamKey(token, substream=Substream.NOISE_Z))
-        z = _gauss(self._rng_z, cfg.sigma1, 2)
-        self._z1, self._z2 = float(z[0]), float(z[1])
-        self._carry = 0.0
-        self._n = 0
-        self.up = np.empty(0)
-        self.down = np.empty(0)
+    def decisions(self, a: float, b: float) -> np.ndarray:
+        """Each path's decision at (a, b): 1 when the upper margin reaches b
+        no later than the lower margin reaches -a (ties go to the upper
+        check), 0 for the lower crossing, -1 for neither within the horizon."""
+        up = self._first[0][:, np.searchsorted(self._levels[0], b)]
+        dn = self._first[1][:, np.searchsorted(self._levels[1], a)]
 
-    def ensure_decided(self, a: float, b: float) -> bool:
-        """Extend until (a, b) is decided; False if the horizon ran out."""
-        while not (
-            (self.up.size and self.up[-1] >= b)
-            or (self.down.size and self.down[-1] <= -a)
-        ):
-            if self._n >= self._cfg.horizon:
-                return False
-            got = min(_CHUNK, self._cfg.horizon - self._n)
-            bits = self._rng_obs.random(got) < self._p
-            stat = self._carry + truncated_llr_path(
-                self._cfg.hypotheses, bits, self._cfg.trunc_a
-            )
-            y = _gauss(self._rng_y, self._cfg.sigma2, 2 * got)
-            up_prev = self.up[-1] if self.up.size else -math.inf
-            dn_prev = self.down[-1] if self.down.size else math.inf
-            self.up = np.concatenate(
-                [self.up, np.maximum.accumulate(np.maximum(stat + y[0::2] - self._z1, up_prev))]
-            )
-            self.down = np.concatenate(
-                [self.down, np.minimum.accumulate(np.minimum(stat + y[1::2] - self._z2, dn_prev))]
-            )
-            self._carry = float(stat[-1])
-            self._n += got
-        return True
+        def undecided(rows):
+            return rows[(np.minimum(up[rows], dn[rows]) == _NEVER)
+                        & (self._n[rows] < self._cfg.horizon)]
 
-    def decision(self, a: float, b: float) -> int:
-        """1 when the upper margin reaches b no later than the lower margin
-        reaches -a (ties go to the upper check), 0 for the lower crossing,
-        -1 if neither was reached within the horizon."""
-        t_up = int(np.searchsorted(self.up, b, side="left"))
-        t_dn = int(np.searchsorted(-self.down, a, side="left"))
-        if t_up == self.up.size and t_dn == self.down.size:
-            return -1
-        return 1 if t_up <= t_dn else 0
+        todo = undecided(np.arange(up.size))
+        for start in range(0, todo.size, _ROWS):
+            rows = todo[start : start + _ROWS]
+            while rows.size:
+                self._extend(rows)
+                rows = undecided(rows)
+        return np.where(np.minimum(up, dn) == _NEVER, -1, (up <= dn).astype(int))
+
+    def _extend(self, rows: np.ndarray) -> None:
+        """Draw one block per path in `rows`, cut at the horizon, and record
+        the first step of each threshold the block crosses."""
+        cfg = self._cfg
+        got = np.minimum(_CHUNK, cfg.horizon - self._n[rows])
+        bits = np.zeros((rows.size, got.max()), dtype=np.intp)
+        y = np.zeros((rows.size, 2 * got.max()))
+        for i, (r, k) in enumerate(zip(rows, got)):
+            bits[i, :k] = self._obs[r].random(k) < self._probs[r]
+            if cfg.sigma2:
+                y[i, : 2 * k] = uniform_open(self._y[r], 2 * k)
+        if cfg.sigma2:  # _gauss, in place and in one call for the block
+            np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)
+        stat = self._carry[rows, None] + np.cumsum(self._inc[bits], axis=1)
+        # the upper margin stat + Y1 - Z1 reaches b; the lower one, negated, a
+        z = self._z[rows]
+        margins = (stat + y[:, 0::2] - z[:, :1], -(stat + y[:, 1::2] - z[:, 1:]))
+        for levels, first, m in zip(self._levels, self._first, margins):
+            m[np.arange(m.shape[1]) >= got[:, None]] = -np.inf  # past the horizon
+            done = np.count_nonzero(first[rows] != _NEVER, axis=1)
+            reach = np.searchsorted(levels, m.max(axis=1), side="right")
+            for i in np.flatnonzero(reach > done):
+                run = np.maximum.accumulate(m[i])
+                new = np.searchsorted(run, levels[done[i] : reach[i]])
+                first[rows[i], done[i] : reach[i]] = self._n[rows[i]] + 1 + new
+        self._carry[rows] = stat[:, -1]  # a row cut at the horizon is never read again
+        self._n[rows] += got
 
 
 def calibrate_privsprt(
@@ -253,46 +265,34 @@ def calibrate_privsprt(
     the points whose pilot errors meet both targets, the smallest in
     lexicographic (a+b, a) order wins, favoring faster stopping. Raises
     CalibrationError, listing the best attempt, if no point is feasible.
+    At each point the undecided paths grow in lockstep groups of _ROWS, one
+    _CHUNK-step block per round; a path keeps only the first step at which
+    it crossed each distinct grid value, so a decision compares two integers
+    and memory does not grow with path length.
     """
     if pilot_trials < 1:
         raise ValueError("pilot_trials must be positive")
     if rng is None:
         rng = derive(StreamKey(cfg.seed, substream=Substream.PILOT))
-    if grid is None:
-        grid = default_threshold_grid(cfg, target_alpha)
-    grid = list(grid)
+    grid = list(default_threshold_grid(cfg, target_alpha) if grid is None else grid)
     if not grid:
         raise ValueError("threshold grid must be nonempty")
-    hyp = cfg.hypotheses
-    paths0 = [
-        _PilotPath(cfg, hyp.mu0, int(rng.integers(0, 1 << 63))) for _ in range(pilot_trials)
-    ]
-    paths1 = [
-        _PilotPath(cfg, hyp.mu1, int(rng.integers(0, 1 << 63))) for _ in range(pilot_trials)
-    ]
-
-    def errors_at(a: float, b: float) -> tuple[float, float, bool]:
-        decided_all = True
-        for path in paths0 + paths1:
-            decided_all &= path.ensure_decided(a, b)
-        dec0 = [p.decision(a, b) for p in paths0]
-        dec1 = [p.decision(a, b) for p in paths1]
-        n0 = max(sum(d >= 0 for d in dec0), 1)
-        n1 = max(sum(d >= 0 for d in dec1), 1)
-        type1 = sum(d == 1 for d in dec0) / n0
-        type2 = sum(d == 0 for d in dec1) / n1
-        return type1, type2, decided_all
+    tokens = [int(rng.integers(0, 1 << 63)) for _ in range(2 * pilot_trials)]
+    probs = [cfg.hypotheses.mu0] * pilot_trials + [cfg.hypotheses.mu1] * pilot_trials
+    pilots = _Pilots(cfg, grid, probs, tokens)
 
     # evaluate in selection order and stop at the first feasible point; a
     # point with pilots still undecided at the horizon cannot be certified
     best = None
     for a, b in sorted(grid, key=lambda g: (g[0] + g[1], g[0])):
-        type1, type2, decided_all = errors_at(a, b)
+        dec = pilots.decisions(a, b)
+        dec0, dec1 = dec[:pilot_trials], dec[pilot_trials:]
+        type1 = int(np.sum(dec0 == 1)) / max(int(np.sum(dec0 >= 0)), 1)
+        type2 = int(np.sum(dec1 == 0)) / max(int(np.sum(dec1 >= 0)), 1)
+        decided_all = bool(np.all(dec >= 0))
         if decided_all and type1 <= target_alpha and type2 <= target_beta:
             return CalibrationResult(a, b, type1, type2, pilot_trials)
-        gap = max(type1 - target_alpha, type2 - target_beta)
-        if not decided_all:
-            gap = math.inf
+        gap = max(type1 - target_alpha, type2 - target_beta) if decided_all else math.inf
         if best is None or gap < best[0]:
             best = (gap, a, b, type1, type2)
     _, a, b, type1, type2 = best

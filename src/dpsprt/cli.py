@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -207,7 +207,8 @@ def _parse_common(opts):
 def _run_grid(opts, truths, workers):
     """Build the (variant family) x (epsilon grid) cells, calibrate the
     PrivSPRT cells, and run the grid under each truth. Every grid key is
-    parsed before the first trial."""
+    parsed before the first trial. Also returns each PrivSPRT cell's
+    calibration, for the manifest."""
     hyp, alpha, beta, seed = _parse_common(opts)
     eps_list = _parse_list(opts, "eps")
     horizon = _parse_int(opts, "horizon", 1)
@@ -244,17 +245,19 @@ def _run_grid(opts, truths, workers):
             else:
                 cfg = PrivSprtConfig.from_epsilon(hyp, eps, delta, horizon=horizon)
             cells.append(PlannedVariant(vid, cfg, eps))
+    calibration = {}
     for i, cell in enumerate(cells):
         if isinstance(cell.config, PrivSprtConfig):
             rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
             cal = calibrate_privsprt(cell.config, alpha, beta, pilot_trials=pilot, rng=rng)
+            calibration[cell.variant_id] = asdict(cal)
             cfg = replace(cell.config, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
             cells[i] = replace(cell, config=cfg)
     results = []
     for truth in truths:
         plan = ExperimentPlan(hyp.mu0, hyp.mu1, truth, tuple(cells), trials, seed)
         results.extend(run_experiment(plan, workers=workers))
-    return cells, hyp, results
+    return cells, hyp, results, calibration
 
 
 def _truths(opts) -> list[int]:
@@ -343,8 +346,8 @@ def _accounting(opts):
 def cmd_simulate(opts, args) -> int:
     truths = _truths(opts)
     guarantees = _accounting(opts)
-    cells, hyp, results = _run_grid(opts, truths, args.workers)
-    extra = {"privacy_guarantees": guarantees(cells)}
+    cells, hyp, results, calibration = _run_grid(opts, truths, args.workers)
+    extra = {"privacy_guarantees": guarantees(cells), "privsprt_calibration": calibration}
     if _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False) < 1.0:
         extra["warning"] = "kappa < 1: no formal correctness guarantee"
         print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
@@ -404,7 +407,7 @@ def _write_json(path, doc) -> None:
 
 def cmd_compare(opts, args) -> int:
     svg = _parse_switch(opts, "svg")
-    _, hyp, results = _run_grid(opts, [0], args.workers)
+    _, hyp, results, calibration = _run_grid(opts, [0], args.workers)
 
     rows = []
     for res in results:
@@ -437,7 +440,7 @@ def cmd_compare(opts, args) -> int:
             write_line_chart(path, series, "epsilon", "mean stopping time")
 
         writers["comparison.svg"] = write_svg
-    _write_outputs(args.out, "compare", opts, writers)
+    _write_outputs(args.out, "compare", opts, writers, {"privsprt_calibration": calibration})
     print(f"wrote comparison for {len(rows)} cells to {args.out}")
     return EXIT_OK
 
@@ -538,6 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(_resolve_options(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -231,6 +231,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRes
     Aggregation is a deterministic reduction over trial indices, so the
     results are identical at any worker count.
     """
+    if workers < 1:
+        raise ValueError("workers must be a positive integer")
     p_truth = plan.instance_p1 if plan.truth == 1 else plan.instance_p0
     n = plan.n_trials
     # one block per cell at one worker; with more, about eight blocks per

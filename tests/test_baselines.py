@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from dpsprt.baselines import (
+    _Pilots,
     CalibrationError,
+    CalibrationResult,
     PrivSprtConfig,
     calibrate_privsprt,
     default_threshold_grid,
@@ -19,7 +23,7 @@ from dpsprt.baselines import (
 from dpsprt.dp_sprt import Classical, TestConfig, gaussian_scales, run_test
 from dpsprt.exp_family import HypothesisPair, log_partition
 from dpsprt.harness import bernoulli_stream
-from dpsprt.rngcore import StreamKey, derive
+from dpsprt.rngcore import StreamKey, Substream, derive, uniform_open
 
 HYP = HypothesisPair.of(0.3, 0.7)
 LLR1 = math.log(7 / 3)
@@ -170,3 +174,192 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_privsprt(_zero_noise(), 0.05, 0.05, grid=[], pilot_trials=10,
                                rng=derive(StreamKey(76)))
+
+
+# The calibration as it was before pilot paths ran in lockstep: each path
+# keeps its whole running-max and running-min trajectory and is searched
+# per grid point. Kept as the reference for the differential tests below.
+def _ref_gauss(rng, sigma, size):
+    return np.zeros(size) if sigma == 0.0 else sigma * ndtri(uniform_open(rng, size))
+
+
+class _RefPilotPath:
+    def __init__(self, cfg, p, token):
+        self._cfg = cfg
+        self._p = p
+        self._rng_obs = derive(StreamKey(token, substream=Substream.OBS))
+        self._rng_y = derive(StreamKey(token, substream=Substream.NOISE_Y))
+        self._rng_z = derive(StreamKey(token, substream=Substream.NOISE_Z))
+        z = _ref_gauss(self._rng_z, cfg.sigma1, 2)
+        self._z1, self._z2 = float(z[0]), float(z[1])
+        self._carry = 0.0
+        self._n = 0
+        self.up = np.empty(0)
+        self.down = np.empty(0)
+
+    def ensure_decided(self, a, b):
+        while not (
+            (self.up.size and self.up[-1] >= b)
+            or (self.down.size and self.down[-1] <= -a)
+        ):
+            if self._n >= self._cfg.horizon:
+                return False
+            got = min(512, self._cfg.horizon - self._n)
+            bits = self._rng_obs.random(got) < self._p
+            stat = self._carry + truncated_llr_path(
+                self._cfg.hypotheses, bits, self._cfg.trunc_a
+            )
+            y = _ref_gauss(self._rng_y, self._cfg.sigma2, 2 * got)
+            up_prev = self.up[-1] if self.up.size else -math.inf
+            dn_prev = self.down[-1] if self.down.size else math.inf
+            self.up = np.concatenate(
+                [self.up, np.maximum.accumulate(np.maximum(stat + y[0::2] - self._z1, up_prev))]
+            )
+            self.down = np.concatenate(
+                [self.down, np.minimum.accumulate(np.minimum(stat + y[1::2] - self._z2, dn_prev))]
+            )
+            self._carry = float(stat[-1])
+            self._n += got
+        return True
+
+    def decision(self, a, b):
+        t_up = int(np.searchsorted(self.up, b, side="left"))
+        t_dn = int(np.searchsorted(-self.down, a, side="left"))
+        if t_up == self.up.size and t_dn == self.down.size:
+            return -1
+        return 1 if t_up <= t_dn else 0
+
+
+def _reference_calibrate(cfg, target_alpha, target_beta, grid, pilot_trials, rng, shared=None):
+    """`shared` maps (p, token) to a path, so that calls on one set of pilots
+    extend each path once; the search always read a path extended for one
+    grid point at the next."""
+    shared = {} if shared is None else shared
+
+    def path(p):
+        token = int(rng.integers(0, 1 << 63))
+        if (p, token) not in shared:
+            shared[p, token] = _RefPilotPath(cfg, p, token)
+        return shared[p, token]
+
+    hyp = cfg.hypotheses
+    paths0 = [path(hyp.mu0) for _ in range(pilot_trials)]
+    paths1 = [path(hyp.mu1) for _ in range(pilot_trials)]
+
+    def errors_at(a, b):
+        decided_all = True
+        for path in paths0 + paths1:
+            decided_all &= path.ensure_decided(a, b)
+        dec0 = [p.decision(a, b) for p in paths0]
+        dec1 = [p.decision(a, b) for p in paths1]
+        n0 = max(sum(d >= 0 for d in dec0), 1)
+        n1 = max(sum(d >= 0 for d in dec1), 1)
+        type1 = sum(d == 1 for d in dec0) / n0
+        type2 = sum(d == 0 for d in dec1) / n1
+        return type1, type2, decided_all
+
+    best = None
+    for a, b in sorted(grid, key=lambda g: (g[0] + g[1], g[0])):
+        type1, type2, decided_all = errors_at(a, b)
+        if decided_all and type1 <= target_alpha and type2 <= target_beta:
+            return CalibrationResult(a, b, type1, type2, pilot_trials)
+        gap = max(type1 - target_alpha, type2 - target_beta)
+        if not decided_all:
+            gap = math.inf
+        if best is None or gap < best[0]:
+            best = (gap, a, b, type1, type2)
+    _, a, b, type1, type2 = best
+    raise CalibrationError(
+        f"no feasible grid point; best attempt (a={a:.4g}, b={b:.4g}) had "
+        f"type I {type1:.3f} vs {target_alpha} and type II {type2:.3f} vs {target_beta}"
+    )
+
+
+def _outcome(calibrate, cfg, grid, targets=(1.0, 1.0), pilots=40, seed=81, **kw):
+    """The calibration result, or the CalibrationError message."""
+    try:
+        return calibrate(cfg, *targets, grid=grid, pilot_trials=pilots,
+                         rng=derive(StreamKey(seed)), **kw)
+    except CalibrationError as exc:
+        return str(exc)
+
+
+def _assert_each_point_matches_reference(cfg):
+    """Each default-grid point alone, with targets that any decided point
+    meets: equal pilot errors, or the same CalibrationError."""
+    shared = {}
+    for point in default_threshold_grid(cfg, 0.05):
+        got = _outcome(calibrate_privsprt, cfg, [point])
+        assert got == _outcome(_reference_calibrate, cfg, [point], shared=shared), point
+
+
+class TestLockstepCalibration:
+    @pytest.mark.parametrize("horizon", [1_000_000, 700])
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 5.0])
+    def test_every_grid_point_matches_reference(self, eps, horizon):
+        """A horizon of 700 is cut inside the second block and leaves the
+        large thresholds undecided."""
+        cfg = replace(PrivSprtConfig.from_epsilon(HYP, eps), horizon=horizon)
+        _assert_each_point_matches_reference(cfg)
+
+    def test_zero_noise_matches_reference(self):
+        """sigma 0: no noise is drawn, and margins are the bare statistic."""
+        _assert_each_point_matches_reference(_zero_noise())
+
+    @pytest.mark.parametrize("targets", [(0.05, 0.05), (0.0, 0.0), (-1.0, -1.0)])
+    def test_unsorted_grid_with_repeats_matches_reference(self, targets):
+        """A whole grid, unsorted, whose a and b values repeat: the same
+        pick, or the same best attempt in the CalibrationError."""
+        cfg = PrivSprtConfig.from_epsilon(HYP, 5.0)
+        grid = [(374.5, 15.0), (15.0, 74.9), (74.9, 374.5), (15.0, 15.0),
+                (74.9, 74.9), (374.5, 74.9), (15.0, 374.5), (3.0, 74.9)]
+        got = _outcome(calibrate_privsprt, cfg, grid, targets)
+        assert got == _outcome(_reference_calibrate, cfg, grid, targets)
+
+    # the zero-noise statistic moves in steps of exactly 0.5 here, so margins
+    # land on the thresholds, and (-0.5, 0.5) is crossed both ways at once
+    LATTICE = (PrivSprtConfig(HYP, 0.0, 0.0, trunc_a=0.5),
+               [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0), (-0.5, 0.5), (3.0, 3.0)])
+
+    @pytest.mark.parametrize("cfg, grid", [
+        (PrivSprtConfig.from_epsilon(HYP, 1.0), None),
+        (replace(PrivSprtConfig.from_epsilon(HYP, 1.0), horizon=1200), None),
+        LATTICE,
+    ], ids=["eps1", "eps1-horizon1200", "lattice"])
+    def test_decisions_match_reference_along_the_search(self, cfg, grid):
+        """One set of pilots read at every grid point in search order, as the
+        search does: paths then enter a round at different step counts, and
+        at a horizon of 1200 a round mixes full blocks with cut ones."""
+        grid = default_threshold_grid(cfg, 0.05) if grid is None else grid
+        probs = [HYP.mu0] * 20 + [HYP.mu1] * 20
+        tokens = [int(t) for t in derive(StreamKey(82)).integers(0, 1 << 63, 40)]
+        pilots = _Pilots(cfg, grid, probs, tokens)
+        ref = [_RefPilotPath(cfg, p, t) for p, t in zip(probs, tokens)]
+        for a, b in sorted(grid, key=lambda g: (g[0] + g[1], g[0])):
+            for path in ref:
+                path.ensure_decided(a, b)
+            assert pilots.decisions(a, b).tolist() == [p.decision(a, b) for p in ref], (a, b)
+
+    # picks at the default grid and 100 pilots, recorded before pilot paths
+    # ran in lockstep
+    @pytest.mark.parametrize("seed", [7, 74])
+    @pytest.mark.parametrize("eps, thresh", [
+        (0.5, 1872.3326709712444), (1.0, 374.4665341942489),
+        (2.0, 374.4665341942489), (5.0, 74.89330683884977),
+    ])
+    def test_recorded_picks_hold(self, eps, thresh, seed):
+        cal = calibrate_privsprt(PrivSprtConfig.from_epsilon(HYP, eps), 0.05, 0.05,
+                                 rng=derive(StreamKey(seed)))
+        assert cal == CalibrationResult(thresh, thresh, 0.0, 0.0, 100)
+
+    def test_memory_does_not_grow_with_path_length(self):
+        """At eps 0.5 the pilot paths run to about 5,500 steps; keeping
+        their trajectories peaked at 16 MB."""
+        cfg = PrivSprtConfig.from_epsilon(HYP, 0.5)
+        tracemalloc.start()
+        try:
+            calibrate_privsprt(cfg, 0.05, 0.05, pilot_trials=100, rng=derive(StreamKey(7)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

@@ -110,6 +110,41 @@ class TestSimulate:
                     for name in ("trials.csv", "summary.csv"))
         assert got == self.PINNED[seed]
 
+    # The same for PrivSPRT alone at eps 0.5, whose calibration picks an
+    # asymmetric point with its pilot type I error exactly at the target.
+    ASYMMETRIC = ("c6b1ff9e98073ed8dce07472918cabf7578bc0fa8b8f6f9c969ed7f2593680d5",
+                  "2dc2bcd916351e5497d44cad26cab0b787b402e28317d17a8e64e5381ca7c761")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_asymmetric_calibration_is_pinned(self, tmp_path, workers):
+        rc = main(["simulate", "--variants", "privsprt", "--eps", "0.5", "--truth", "both",
+                   "--trials", "50", "--seed", "7", "--workers", str(workers),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        got = tuple(hashlib.sha256(_read(tmp_path / name)).hexdigest()
+                    for name in ("trials.csv", "summary.csv"))
+        assert got == self.ASYMMETRIC
+        cal = json.loads((tmp_path / "manifest.json").read_text())["privsprt_calibration"]
+        pick = cal["privsprt@eps=0.5"]
+        assert (round(pick["thresh_a"], 1), round(pick["thresh_b"], 1)) == (1872.3, 374.5)
+        assert pick["pilot_type1"] == 0.05 and pick["pilot_trials"] == 100
+
+    def test_rerun_from_manifest_keeps_calibration(self, tmp_path):
+        args = ["simulate", "--trials", "10", "--eps", "1,5", "--variants", "privsprt,laplace",
+                "--privsprt-pilot", "30", "--seed", "7", "--workers", "1"]
+        out1, out2 = tmp_path / "p1", tmp_path / "p2"
+        assert main(args + ["--out", str(out1)]) == EXIT_OK
+        rc = main(["simulate", "--config", str(out1 / "manifest.json"),
+                   "--out", str(out2), "--workers", "1"])
+        assert rc == EXIT_OK
+        first, second = (json.loads((out / "manifest.json").read_text())["privsprt_calibration"]
+                         for out in (out1, out2))
+        assert set(first) == {"privsprt@eps=1", "privsprt@eps=5"}
+        assert set(first["privsprt@eps=5"]) == {
+            "thresh_a", "thresh_b", "pilot_type1", "pilot_type2", "pilot_trials"}
+        assert first["privsprt@eps=5"]["pilot_trials"] == 30
+        assert second == first
+
     def test_manifest_of_earlier_versions_replays(self, tmp_path):
         """A manifest holding only the 16 keys that versions before the
         option table recorded reproduces the pinned bytes."""
@@ -250,6 +285,9 @@ class TestCompare:
         assert rc == EXIT_OK
         for name in ("comparison.csv", "comparison.svg", "trials.csv", "summary.csv"):
             assert _read(out1 / name) == _read(out2 / name)
+        first, second = (json.loads((out / "manifest.json").read_text())["privsprt_calibration"]
+                         for out in (out1, out2))
+        assert list(first) == ["privsprt@eps=1"] and second == first
 
     def test_calibration_failure_exit_code(self, tmp_path, capsys):
         # a horizon too short for any pilot path to decide
@@ -354,6 +392,16 @@ def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out), "--workers", "1"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_nonpositive_workers_is_config_error(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--trials", "3", "--eps", "5", "--variants", "classical",
+               "--workers", workers, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
 
 

@@ -128,6 +128,11 @@ class TestRunExperiment:
         assert stats.mean_tau == 1.0
         assert stats.n_exhausted > 0
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(_plan([_classical_variant()], n_trials=2), workers=workers)
+
     def test_misconfiguration_surfaces_before_trials(self):
         from dpsprt.baselines import PrivSprtConfig
 
