@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .dp_sprt import BitReader, TestOutcome, Trial, gaussian_scales
 from .exp_family import HypothesisPair
-from .rngcore import StreamKey, Substream, derive, rekey, uniform_open
+from .rngcore import StreamKey, Substream, derive, noise_keys, rekey, uniform_open
 
 __all__ = [
     "PrivSprtConfig",
@@ -127,15 +127,17 @@ class PrivSprtKernel:
         self._rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
         self._rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
 
-    def trial(self, seed: int) -> Trial:
-        return Trial(self, seed)
+    def trial(self, seed: int, words: Sequence | None = None) -> Trial:
+        return Trial(self, seed, words)
 
-    def run(self, seed: int, observations: Iterable[int]) -> TestOutcome:
-        """Run the trial whose noise streams derive from `seed`."""
+    def run(self, seed: int, observations: Iterable[int], words=None) -> TestOutcome:
+        """Run the trial whose noise streams derive from `seed`; `words`,
+        when given, are their precomputed key words (see :class:`Trial`)."""
         cfg = self.cfg
         a, b = cfg.thresh_a, cfg.thresh_b
-        rng_y = rekey(self._rng_y, StreamKey(seed, substream=Substream.NOISE_Y))
-        rng_z = rekey(self._rng_z, StreamKey(seed, substream=Substream.NOISE_Z))
+        keys = words if words is not None else noise_keys(seed)
+        rng_y = rekey(self._rng_y, keys[0])
+        rng_z = rekey(self._rng_z, keys[1])
         z = _gauss(rng_z, cfg.sigma1, 2)
         z1, z2 = float(z[0]), float(z[1])
         carry = 0.0

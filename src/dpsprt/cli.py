@@ -235,6 +235,9 @@ def _run_grid(opts, truths, workers):
                                  correction=params, horizon=horizon)
             elif name == "gaussian":
                 sy, sz = gaussian_scales(eps, delta)
+                if not sy**2 + sz**2 > 0.0:  # the correction needs a positive variance
+                    raise ConfigError(f"key 'eps': {eps:g} is too large for the gaussian "
+                                      "variant: its noise variance underflows to 0")
                 g = gamma if gamma is not None else default_gamma(eps)
                 cfg = TestConfig(hyp, alpha, beta, Gaussian(sy, sz), gamma=g,
                                  correction=params, horizon=horizon)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .noise import (
     sample_z,
 )
 from .outside_interval import StreamExhaustedError
-from .rngcore import StreamKey, Substream, derive, rekey
+from .rngcore import StreamKey, Substream, derive, noise_keys, rekey
 
 __all__ = [
     "Classical",
@@ -313,13 +313,17 @@ def threshold_upper(cfg: TestConfig, n: int, included: int | None = None) -> flo
 
 
 class Trial(NamedTuple):
-    """One trial of a prepared kernel: the seed its noise streams derive from."""
+    """One trial of a prepared kernel: the seed its noise streams derive
+    from, and optionally those streams' key words, one pair per role of
+    `rngcore.NOISE_ROLES`, as `rngcore.stream_words` gives them for a block
+    of seeds. Without them the kernel derives the keys from the seed."""
 
     kernel: "TestKernel | PrivSprtKernel"
     seed: int
+    words: Sequence | None = None
 
     def run(self, observations: Iterable[int]) -> TestOutcome:
-        return self.kernel.run(self.seed, observations)
+        return self.kernel.run(self.seed, observations, self.words)
 
 
 class TestKernel:
@@ -344,8 +348,8 @@ class TestKernel:
             self._rng_b = derive(StreamKey(cfg.seed, substream=Substream.SUBSAMPLE))
         self._lo = self._hi = np.empty(0)
 
-    def trial(self, seed: int) -> Trial:
-        return Trial(self, seed)
+    def trial(self, seed: int, words: Sequence | None = None) -> Trial:
+        return Trial(self, seed, words)
 
     def _thresholds(self, start: int, stop: int, m) -> tuple[np.ndarray, np.ndarray]:
         """Thresholds at steps start+1..stop; `m` holds the included counts
@@ -364,16 +368,18 @@ class TestKernel:
             return lo, hi
         return _thresholds_vec(self.cfg.hypotheses, self._res, m, lo, hi)
 
-    def run(self, seed: int, observations: Iterable[int]) -> TestOutcome:
-        """Run the trial whose noise streams derive from `seed`."""
+    def run(self, seed: int, observations: Iterable[int], words=None) -> TestOutcome:
+        """Run the trial whose noise streams derive from `seed`; `words`,
+        when given, are their precomputed key words (see :class:`Trial`)."""
         res = self._res
         rate = res.rate
-        rng_y = rekey(self._rng_y, StreamKey(seed, substream=Substream.NOISE_Y))
-        rng_z = rekey(self._rng_z, StreamKey(seed, substream=Substream.NOISE_Z))
+        keys = words if words is not None else noise_keys(seed)
+        rng_y = rekey(self._rng_y, keys[0])
+        rng_z = rekey(self._rng_z, keys[1])
         z = float(sample_z(res.spec, rng_z))
         rng_b = self._rng_b
         if rng_b is not None:
-            rekey(rng_b, StreamKey(seed, substream=Substream.SUBSAMPLE))
+            rekey(rng_b, keys[2])
         s_carry = m_carry = 0
         for n_done, bits in BitReader(observations).chunks(self.cfg.horizon):
             got = bits.size

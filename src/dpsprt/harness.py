@@ -20,7 +20,9 @@ import numpy as np
 
 from .baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
 from .dp_sprt import Classical, LaplaceSub, TestConfig, TestKernel, resolved_gamma, run_test
-from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64
+from .rngcore import (
+    NOISE_ROLES, StreamKey, Substream, derive, fnv1a64, mix64, mix64_array, stream_words,
+)
 
 __all__ = [
     "BitStream",
@@ -142,23 +144,29 @@ class TrialRecord:
     seed: int
 
 
-def _trial_seed(master_seed: int, vid: int, trial: int) -> int:
-    return mix64(mix64(master_seed ^ mix64(vid)) ^ mix64(trial))
+def _trial_seeds(master_seed: int, vid: int, trials: np.ndarray) -> np.ndarray:
+    """Each trial's seed, mix64(mix64(master_seed ^ mix64(vid)) ^ mix64(trial)),
+    over a uint64 array of trial indices."""
+    cell = np.uint64(mix64(master_seed ^ mix64(vid)))
+    return mix64_array(cell ^ mix64_array(trials))
 
 
 def _run_block(args) -> list[TrialRecord]:
-    """Trials start..stop-1 of one cell, on one kernel prepared for the cell."""
+    """Trials start..stop-1 of one cell, on one kernel prepared for the cell.
+    The trials' seeds and noise key words are computed for the whole block
+    at once; each trial still derives its own observation stream."""
     p_truth, variant, master_seed, start, stop = args
     vid = fnv1a64(variant.variant_id)
     if isinstance(variant.config, PrivSprtConfig):
         kernel, run = PrivSprtKernel(variant.config), run_privsprt
     else:
         kernel, run = TestKernel(variant.config), run_test
+    seeds = _trial_seeds(master_seed, vid, np.arange(start, stop, dtype=np.uint64))
+    keys = stream_words(seeds[:, None], substream=NOISE_ROLES)
     records = []
-    for trial in range(start, stop):
-        token = _trial_seed(master_seed, vid, trial)
+    for trial, token, words in zip(range(start, stop), seeds.tolist(), keys):
         obs = bernoulli_stream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
-        out = run(kernel.trial(token), obs)
+        out = run(kernel.trial(token, words.tolist()), obs)
         records.append(TrialRecord(trial, out.tau, out.decision, out.exhausted, token))
     return records
 

@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .dp_sprt import TestConfig, TestKernel, run_test
 from .harness import bernoulli_stream
-from .rngcore import StreamKey, Substream, derive
+from .rngcore import NOISE_ROLES, StreamKey, Substream, derive, stream_words
 
 __all__ = [
     "PureDP",
@@ -142,10 +144,11 @@ def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
     for p in (cfg.hypotheses.mu0, cfg.hypotheses.mu1):
         sq_sum = 0.0
         sq_sumsq = 0.0
-        for _ in range(n_pilot):
-            token = int(rng.integers(0, 1 << 63))
+        tokens = [int(rng.integers(0, 1 << 63)) for _ in range(n_pilot)]
+        keys = stream_words(np.array(tokens, dtype=np.uint64)[:, None], substream=NOISE_ROLES)
+        for token, words in zip(tokens, keys):
             obs = bernoulli_stream(p, derive(StreamKey(token, substream=Substream.PILOT)))
-            out = run_test(kernel.trial(token), obs)
+            out = run_test(kernel.trial(token, words.tolist()), obs)
             if out.exhausted:
                 reliable = False
             t2 = float(out.tau) ** 2

@@ -5,6 +5,10 @@ Every stochastic component of the library draws from a stream addressed by a
 into a 128-bit Philox key, so distinct keys give independent streams and the
 same key always replays the same stream, with no coordination between
 parallel consumers.
+
+:meth:`StreamKey.words` and :func:`mix64` are the scalar reference;
+:func:`stream_words` computes the same words for whole arrays of keys in one
+vectorised pass, so a block of trials keys all its streams at once.
 """
 
 from __future__ import annotations
@@ -14,9 +18,13 @@ from enum import IntEnum
 
 import numpy as np
 
-__all__ = ["Substream", "StreamKey", "derive", "rekey", "fnv1a64", "mix64", "uniform_open"]
+__all__ = [
+    "Substream", "StreamKey", "NOISE_ROLES", "noise_keys", "derive", "rekey", "fnv1a64", "mix64",
+    "mix64_array", "stream_words", "uniform_open",
+]
 
 _MASK64 = (1 << 64) - 1
+_WORD1_TAG = 0xD1B54A32D192ED03
 
 
 class Substream(IntEnum):
@@ -38,6 +46,35 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` elementwise over a uint64 array; numpy's uint64
+    arithmetic wraps modulo 2^64, as the scalar version's masks do."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _u64(field) -> np.ndarray:
+    # an int of any size is taken modulo 2^64, as StreamKey.words does
+    return np.array(field & _MASK64 if isinstance(field, int) else field,
+                    dtype=np.uint64, ndmin=1)
+
+
+def stream_words(master_seed, variant_id=0, trial=0, substream=Substream.OBS) -> np.ndarray:
+    """:meth:`StreamKey.words` for many keys in one vectorised pass.
+
+    Each field is an int or an array of them (a uint64 array, or a
+    sequence of ints below 2^64); the fields broadcast against each other.
+    The result has their broadcast shape, at least 1-d, plus a last axis
+    holding the two words.
+    """
+    h = mix64_array(_u64(master_seed))
+    for field in (variant_id, trial, substream):
+        h = mix64_array(h ^ mix64_array(_u64(field)))
+    return np.stack((h, mix64_array(h ^ np.uint64(_WORD1_TAG))), axis=-1)
+
+
 @dataclass(frozen=True)
 class StreamKey:
     """Address of one random stream."""
@@ -53,7 +90,17 @@ class StreamKey:
         h = mix64(h ^ mix64(self.variant_id & _MASK64))
         h = mix64(h ^ mix64(self.trial & _MASK64))
         h = mix64(h ^ mix64(int(self.substream)))
-        return h, mix64(h ^ 0xD1B54A32D192ED03)
+        return h, mix64(h ^ _WORD1_TAG)
+
+
+# the roles of a trial's noise streams, in the order its keys list them
+NOISE_ROLES = (Substream.NOISE_Y, Substream.NOISE_Z, Substream.SUBSAMPLE)
+
+
+def noise_keys(seed: int) -> tuple[StreamKey, ...]:
+    """The keys of the noise streams of the trial seeded `seed`, one per
+    role of :data:`NOISE_ROLES`."""
+    return tuple(StreamKey(seed, substream=role) for role in NOISE_ROLES)
 
 
 def derive(key: StreamKey) -> np.random.Generator:
@@ -67,21 +114,24 @@ def derive(key: StreamKey) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-_ZERO4.setflags(write=False)
+# the state setter reads the words one by one; Python ints read faster
+# than the elements of a numpy array
+_ZERO4 = (0, 0, 0, 0)
 
 
-def rekey(rng: np.random.Generator, key: StreamKey) -> np.random.Generator:
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
     """Reset `rng`, a generator made by :func:`derive`, to the start of
     `key`'s stream, so that it draws exactly what ``derive(key)`` would.
 
-    Philox is counter-based: a stream's start is its key with the block
-    counter and the output buffers at zero, so one generator can serve
-    many streams in turn without being rebuilt.
+    `key` is a :class:`StreamKey` or its two words, as :meth:`StreamKey.words`
+    or a row of :func:`stream_words` gives them (as a list of ints, from
+    ``tolist()``, they set fastest). Philox is counter-based: a stream's
+    start is its key with the block counter and the output buffers at zero,
+    so one generator can serve many streams in turn without being rebuilt.
     """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": np.array(key.words(), dtype=np.uint64)},
+        "state": {"counter": _ZERO4, "key": key.words() if isinstance(key, StreamKey) else key},
         "buffer": _ZERO4,
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -99,11 +149,23 @@ def fnv1a64(text: str) -> int:
     return h
 
 
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
 def uniform_open(rng: np.random.Generator, size=None):
     """Uniform draws on the open interval (0, 1) at 2^-53 resolution.
 
-    Returns midpoints of dyadic cells, so inverse-CDF transforms never see
-    an endpoint and stay finite.
+    A draw is (k + 1/2) * 2^-53 for the 53-bit integer k that
+    ``rng.random`` scales, rounded to a double. Below 1/2 that is the
+    midpoint of k's dyadic cell; above it the tie rounds to even, so the
+    value is a cell edge. The largest k would round to 1.0 and is clamped
+    to 1 - 2^-53, so inverse-CDF transforms never see an endpoint and stay
+    finite. The values and the generator state afterwards equal those of
+    ``(rng.integers(0, 2**53) + 0.5) * 2**-53``, save for that clamp:
+    numpy draws both from the top 53 bits of one 64-bit word.
     """
-    k = rng.integers(0, 1 << 53, size=size, dtype=np.int64)
-    return (k + 0.5) * (2.0**-53)
+    u = rng.random(size)
+    if size is None:
+        return min(u + 2.0**-54, _BELOW_ONE)
+    u += 2.0**-54
+    return np.minimum(u, _BELOW_ONE, out=u)

@@ -110,6 +110,18 @@ class TestSimulate:
                     for name in ("trials.csv", "summary.csv"))
         assert got == self.PINNED[seed]
 
+    def test_seed_past_64_bits_acts_modulo_2_to_the_64(self, tmp_path):
+        """Streams key on the seed modulo 2**64, so 2**64 + 7 writes the CSVs
+        that seed 7 writes."""
+        digests = []
+        for seed in ("7", str(2**64 + 7)):
+            out = tmp_path / seed
+            rc = main(["simulate", "--trials", "20", "--eps", "5", "--truth", "both",
+                       "--seed", seed, "--workers", "1", "--out", str(out)])
+            assert rc == EXIT_OK
+            digests.append([_read(out / name) for name in ("trials.csv", "summary.csv")])
+        assert digests[0] == digests[1]
+
     # The same for PrivSPRT alone at eps 0.5, whose calibration picks an
     # asymmetric point with its pilot type I error exactly at the target.
     ASYMMETRIC = ("c6b1ff9e98073ed8dce07472918cabf7578bc0fa8b8f6f9c969ed7f2593680d5",
@@ -375,9 +387,10 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["compare"] + SMALL_GRID, "svg = true"),
     (["simulate"] + SMALL_GRID, {"tau_sq_bound": "0.5"}),
     (["tune-kappa", "--pilot-trials", "5", "--confirm-trials", "5"], {"tune_eps": "abc"}),
+    (["simulate", "--trials", "5", "--eps", "5,1e300", "--variants", "classical,gaussian"], None),
 ], ids=["tau_sq_bound-negative", "tau_sq_bound-below-1", "tau_sq_bound-inf",
         "rdp_alpha-0", "rdp_alpha-1", "accounting-cfg", "svg-cfg",
-        "tau_sq_bound-manifest", "tune_eps-manifest"])
+        "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow"])
 def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     """A bad value from a flag, a config line or a manifest exits 2 before
     the first trial, so no output directory appears."""

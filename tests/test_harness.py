@@ -15,15 +15,27 @@ from dpsprt.harness import (
     PlannedVariant,
     _aggregate,
     _nearest_rank,
+    _trial_seeds,
     TrialRecord,
     bernoulli_stream,
     run_experiment,
     write_summary_csv,
     write_trials_csv,
 )
-from dpsprt.rngcore import StreamKey, derive
+from dpsprt.rngcore import StreamKey, derive, fnv1a64, mix64
 
 HYP = HypothesisPair.of(0.3, 0.7)
+
+
+def test_trial_seeds_match_the_scalar_formula():
+    """A block's seeds, computed in one pass, equal the per-trial formula,
+    at the edges of each 64-bit field and for master seeds past 2**64."""
+    edges = [0, 1, 2**63, 2**64 - 1]
+    trials = np.array(edges + [5, 999], dtype=np.uint64)
+    for master in edges + [2**64, 2**64 + 7, 3 * 2**64 + 2**63]:
+        for vid in edges + [fnv1a64("laplace@eps=5")]:
+            want = [mix64(mix64(master ^ mix64(vid)) ^ mix64(t)) for t in trials.tolist()]
+            assert _trial_seeds(master, vid, trials).tolist() == want
 
 
 def _plan(variants, truth=0, n_trials=40, seed=2024):

@@ -23,7 +23,7 @@ from dpsprt.dp_sprt import (
 )
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import ExperimentPlan, PlannedVariant, bernoulli_stream, run_experiment
-from dpsprt.rngcore import StreamKey, derive
+from dpsprt.rngcore import NOISE_ROLES, StreamKey, derive, stream_words
 
 HYP = HypothesisPair.of(0.3, 0.7)
 
@@ -60,11 +60,14 @@ def _run(cfg, obs):
 def test_reused_kernel_matches_fresh_runs(name):
     cfg = _configs(1.0)[name]
     kernel, run = _prepared(cfg)
+    # the noise key words a block of trials computes in one pass
+    keys = stream_words(np.arange(50, dtype=np.uint64)[:, None], substream=NOISE_ROLES)
     taus = []
     for seed in range(50):
         p = HYP.mu1 if seed % 2 else HYP.mu0
         reused = run(kernel.trial(seed), _obs(p, seed))
         assert reused == _run(replace(cfg, seed=seed), _obs(p, seed))
+        assert reused == run(kernel.trial(seed, keys[seed].tolist()), _obs(p, seed))
         taus.append(reused.tau)
     if name != "classical":
         # some trials outrun the first chunk, so the tables grew in use

@@ -19,7 +19,7 @@ from dpsprt.noise import (
     sample_y,
     sample_z,
 )
-from dpsprt.rngcore import StreamKey, derive
+from dpsprt.rngcore import StreamKey, derive, uniform_open
 
 ZETA2 = math.pi**2 / 6
 
@@ -113,6 +113,26 @@ class TestSamplers:
                 hat = np.mean(sample >= t)
                 se = math.sqrt(max(hat * (1 - hat), 1e-12) / n)
                 assert hat <= bound + 3 * se
+
+
+class _TopRng:
+    """Stub whose `random` returns the largest value numpy's can, the draw
+    that rounded to a uniform of exactly 1.0."""
+
+    def random(self, size=None):
+        top = 1.0 - 2.0**-53
+        return top if size is None else np.full(size, top)
+
+
+@pytest.mark.parametrize("spec", [NoiseSpec.laplace_default(1.0), NoiseSpec.gaussian(1.7, 0.9)],
+                         ids=["laplace", "gaussian"])
+def test_top_uniform_gives_finite_noise(spec):
+    # (2**53 - 1 + 0.5) * 2**-53 rounds half-to-even to 1.0; the draw is clamped
+    assert ((1 << 53) - 1 + 0.5) * 2.0**-53 == 1.0
+    assert uniform_open(_TopRng()) == uniform_open(_TopRng(), 3)[0] == 1.0 - 2.0**-53
+    assert math.isfinite(sample_z(spec, _TopRng()))
+    assert math.isfinite(sample_y(spec, _TopRng()))
+    assert np.all(np.isfinite(sample_y(spec, _TopRng(), 4)))
 
 
 class TestTailFormulas:

@@ -26,9 +26,9 @@ class CountingRng:
         self._rng = derive(StreamKey(seed))
         self.calls = 0
 
-    def integers(self, *args, **kwargs):
+    def random(self, *args, **kwargs):
         self.calls += 1
-        return self._rng.integers(*args, **kwargs)
+        return self._rng.random(*args, **kwargs)
 
 
 def _rng(tag=0):

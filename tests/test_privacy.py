@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsprt.dp_sprt import Classical, Laplace, LaplaceSub, TestConfig
+from dpsprt.dp_sprt import Classical, Laplace, LaplaceSub, TestConfig, TestKernel, run_test
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.privacy_accounting import (
     PureDP,
@@ -14,7 +14,8 @@ from dpsprt.privacy_accounting import (
     laplace_budget,
     rdp_to_approx_dp,
 )
-from dpsprt.rngcore import StreamKey, derive
+from dpsprt.harness import bernoulli_stream
+from dpsprt.rngcore import StreamKey, Substream, derive
 
 HYP = HypothesisPair.of(0.3, 0.7)
 
@@ -144,3 +145,23 @@ class TestTauSqEstimate:
         e_sub = estimate_tau_sq(sub, 150, derive(StreamKey(53)))
         # same seeds, same trajectories
         assert e_lap.value == pytest.approx(e_sub.value, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", [Laplace(1.0), LaplaceSub(1.0, 0.5)],
+                             ids=["laplace", "laplace_sub"])
+    def test_block_keys_match_per_pilot_keys(self, variant):
+        """Noise keys computed for all pilots at once give the estimate that
+        each pilot's keys, derived from its own seed, give."""
+        cfg = TestConfig(HYP, 0.05, 0.05, variant)
+        est = estimate_tau_sq(cfg, 100, derive(StreamKey(54)))
+        rng, kernel, worst = derive(StreamKey(54)), TestKernel(cfg), 0.0
+        for p in (HYP.mu0, HYP.mu1):
+            sq_sum = sq_sumsq = 0.0
+            for _ in range(100):
+                token = int(rng.integers(0, 1 << 63))
+                obs = bernoulli_stream(p, derive(StreamKey(token, substream=Substream.PILOT)))
+                t2 = float(run_test(kernel.trial(token), obs).tau) ** 2
+                sq_sum += t2
+                sq_sumsq += t2 * t2
+            mean = sq_sum / 100
+            worst = max(worst, mean + 1.645 * math.sqrt(max(sq_sumsq / 100 - mean * mean, 0.0) / 100))
+        assert est.value == worst

@@ -2,7 +2,20 @@
 
 import numpy as np
 
-from dpsprt.rngcore import StreamKey, Substream, derive, fnv1a64, mix64, rekey, uniform_open
+import pytest
+
+from dpsprt.rngcore import (
+    NOISE_ROLES,
+    StreamKey,
+    Substream,
+    derive,
+    fnv1a64,
+    mix64,
+    mix64_array,
+    rekey,
+    stream_words,
+    uniform_open,
+)
 
 # Philox outputs are fixed by the algorithm, so these stay stable across
 # platforms and library versions.
@@ -13,8 +26,8 @@ FROZEN_OUT = [
     12870731371282169378,
     3247087706817271187,
 ]
-# integers(0, 2**53) of a generator reset to FROZEN_REKEY, the draws
-# uniform_open turns into noise
+# integers(0, 2**53) of a generator reset to FROZEN_REKEY: the 53-bit
+# integers behind the uniforms that uniform_open turns into noise
 FROZEN_REKEY = StreamKey(12345, 7, 42, Substream.NOISE_Z)
 FROZEN_REKEY_OUT = [
     2409444279985132,
@@ -74,6 +87,13 @@ def test_rekey_replays_derive():
         assert np.array_equal(draw(rng), draw(derive(key)))
 
 
+def test_rekey_takes_precomputed_words():
+    key = StreamKey(9, 1, 2, Substream.NOISE_Y)
+    for words in (key.words(), stream_words(9, 1, 2, Substream.NOISE_Y)[0]):
+        rng = rekey(_used_generator(), words)
+        assert np.array_equal(rng.random(7), derive(key).random(7))
+
+
 def test_frozen_rekey_outputs():
     rng = rekey(_used_generator(), FROZEN_REKEY)
     got = rng.integers(0, 1 << 53, size=4, dtype=np.int64)
@@ -98,6 +118,61 @@ def test_uniform_open_stays_inside_unit_interval():
     u = uniform_open(derive(StreamKey(3)), 10**5)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def _state(rng):
+    st = rng.bit_generator.state
+    return (tuple(st["state"]["counter"]), tuple(st["state"]["key"]), tuple(st["buffer"]),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+@pytest.mark.parametrize("size", [None, 1, 3, 4097])
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "partial-block"])
+def test_uniform_open_equals_the_integer_formula(size, fresh):
+    """uniform_open draws the same values, and leaves the generator in the
+    same state, as the formula it replaced: numpy's integers(0, 2**53) and
+    random() both take the top 53 bits of one 64-bit word."""
+    for seed in range(20):
+        rngs = [derive(StreamKey(seed)) for _ in range(2)]
+        if not fresh:  # half a word cached, and part of a Philox block used
+            for rng in rngs:
+                rng.integers(0, 1000)
+                rng.bit_generator.random_raw(1 + seed % 3)
+        for _ in range(3):
+            got = uniform_open(rngs[0], size)
+            k = rngs[1].integers(0, 1 << 53, size=size, dtype=np.int64)
+            assert np.array_equal(got, (k + 0.5) * 2.0**-53)
+            assert _state(rngs[0]) == _state(rngs[1])
+
+
+# edge values of each 64-bit field, and master seeds at and past 2**64
+EDGES = [0, 1, 2**63, 2**64 - 1]
+MASTERS = EDGES + [2**64, 2**64 + 7, 3 * 2**64 + 2**63]
+
+
+def test_mix64_array_matches_scalar():
+    x = np.array(EDGES + [12345, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    assert mix64_array(x).tolist() == [mix64(int(v)) for v in x]
+
+
+@pytest.mark.parametrize("master", MASTERS)
+def test_stream_words_match_scalar_words(master):
+    for variant in EDGES:
+        for trial in EDGES:
+            for role in Substream:
+                want = StreamKey(master, variant, trial, role).words()
+                assert tuple(stream_words(master, variant, trial, role)[0].tolist()) == want
+
+
+def test_stream_words_broadcast_over_a_block():
+    """One pass over seeds x roles gives each key's words, as a trial's
+    noise streams use them."""
+    seeds = np.array(EDGES + [2**64 - 2, 987654321], dtype=np.uint64)
+    got = stream_words(seeds[:, None], substream=NOISE_ROLES)
+    assert got.shape == (seeds.size, len(NOISE_ROLES), 2)
+    for i, seed in enumerate(seeds.tolist()):
+        for j, role in enumerate(NOISE_ROLES):
+            assert tuple(got[i, j].tolist()) == StreamKey(seed, substream=role).words()
 
 
 def test_fnv1a64_reference_values():
