@@ -46,7 +46,6 @@ from .dp_sprt import (
     default_subsample_rate,
     gaussian_scales,
     run_test,
-    run_test_subsampled,
     threshold_lower,
     threshold_upper,
 )

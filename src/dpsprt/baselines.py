@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .dp_sprt import BitReader, TestOutcome, Trial, gaussian_scales
+from .dp_sprt import Kernel, TestOutcome, Trial, gaussian_scales
 from .exp_family import HypothesisPair
-from .rngcore import StreamKey, Substream, derive, noise_keys, rekey, uniform_open
+from .rngcore import StreamKey, Substream, derive, uniform_open
 
 __all__ = [
     "PrivSprtConfig",
@@ -113,51 +113,30 @@ def _gauss(rng, sigma: float, size=None):
     return sigma * ndtri(uniform_open(rng, size))
 
 
-class PrivSprtKernel:
+class PrivSprtKernel(Kernel):
     """A calibrated PrivSPRT configuration prepared once and run for many
-    trials: the clamped log-likelihood-ratio increments, and the Y and Z
-    generators, which each run resets to the start of its seed's streams."""
+    trials, with its clamped log-likelihood-ratio increments."""
+
+    FIRST_CHUNK = _CHUNK
+    DECISIONS = (1, 0)  # the upper check comes first
 
     def __init__(self, cfg: PrivSprtConfig):
         if cfg.thresh_a is None or cfg.thresh_b is None:
             raise ValueError("thresholds are not calibrated; run calibrate_privsprt first")
-        self.cfg = cfg
+        super().__init__(cfg, 2)
         l1, l0 = llr_steps(cfg.hypotheses)
         self._inc = np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
-        self._rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
-        self._rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
 
-    def trial(self, seed: int, words: Sequence | None = None) -> Trial:
-        return Trial(self, seed, words)
-
-    def run(self, seed: int, observations: Iterable[int], words=None) -> TestOutcome:
-        """Run the trial whose noise streams derive from `seed`; `words`,
-        when given, are their precomputed key words (see :class:`Trial`)."""
+    def _checks(self, chunks, rng_y, rng_z):
         cfg = self.cfg
         a, b = cfg.thresh_a, cfg.thresh_b
-        keys = words if words is not None else noise_keys(seed)
-        rng_y = rekey(self._rng_y, keys[0])
-        rng_z = rekey(self._rng_z, keys[1])
-        z = _gauss(rng_z, cfg.sigma1, 2)
-        z1, z2 = float(z[0]), float(z[1])
+        z1, z2 = _gauss(rng_z, cfg.sigma1, 2)
         carry = 0.0
-        for n_done, bits in BitReader(observations).chunks(cfg.horizon, _CHUNK):
+        for n_done, bits in chunks:
             stat = carry + np.cumsum(self._inc[bits])
             y = _gauss(rng_y, cfg.sigma2, 2 * bits.size)
-            cond_up = stat + y[0::2] >= b + z1
-            cond_dn = stat + y[1::2] <= -a + z2
-            fired = cond_up | cond_dn
-            if fired.any():
-                i = int(np.argmax(fired))
-                tau = n_done + i + 1
-                return TestOutcome(
-                    tau=tau,
-                    decision=1 if cond_up[i] else 0,
-                    exhausted=False,
-                    samples_consumed=tau,
-                )
+            yield n_done, stat + y[0::2] >= b + z1, stat + y[1::2] <= -a + z2, None
             carry = float(stat[-1])
-        return TestOutcome(cfg.horizon, None, True, cfg.horizon)
 
 
 def run_privsprt(cfg: PrivSprtConfig | Trial, observations: Iterable[int]) -> TestOutcome:

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .baselines import CalibrationError, PrivSprtConfig, calibrate_privsprt
-from .bounds import build_report
+from .bounds import BoundOverflowError, build_report
 from .dp_sprt import (
     Classical,
     Gaussian,
@@ -139,7 +139,7 @@ def _resolve_options(args) -> dict[str, str]:
     for key in args.keys:
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)
-    if not opts["seed"]:
+    if opts.get("seed") == "":
         opts["seed"] = os.environ.get("DPSPRT_SEED", "0")
     return opts
 
@@ -200,8 +200,7 @@ def _parse_common(opts):
         raise ConfigError(f"need p0 < p1, got p0={p0}, p1={p1}")
     alpha = _parse_float(opts, "alpha", 0.0, 1.0)
     beta = _parse_float(opts, "beta", 0.0, 1.0)
-    seed = _parse_int(opts, "seed", 0)
-    return HypothesisPair.of(p0, p1), alpha, beta, seed
+    return HypothesisPair.of(p0, p1), alpha, beta
 
 
 def _run_grid(opts, truths, workers):
@@ -209,7 +208,8 @@ def _run_grid(opts, truths, workers):
     PrivSPRT cells, and run the grid under each truth. Every grid key is
     parsed before the first trial. Also returns each PrivSPRT cell's
     calibration, for the manifest."""
-    hyp, alpha, beta, seed = _parse_common(opts)
+    hyp, alpha, beta = _parse_common(opts)
+    seed = _parse_int(opts, "seed", 0)
     eps_list = _parse_list(opts, "eps")
     horizon = _parse_int(opts, "horizon", 1)
     s = _parse_float(opts, "s", 1.0)
@@ -367,7 +367,7 @@ def cmd_simulate(opts, args) -> int:
 
 
 def cmd_bounds(opts, args) -> int:
-    hyp, alpha, beta, _ = _parse_common(opts)
+    hyp, alpha, beta = _parse_common(opts)
     if alpha + beta >= 1.0:
         raise ConfigError(f"need alpha + beta < 1, got {alpha} + {beta}")
     s = _parse_float(opts, "s", 1.0)
@@ -376,7 +376,10 @@ def cmd_bounds(opts, args) -> int:
     gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
     if gamma is None:
         gamma = default_gamma(eps) if eps is not None else 0.5
-    report = build_report(hyp, alpha, beta, gamma, eps, s, kappa)
+    try:
+        report = build_report(hyp, alpha, beta, gamma, eps, s, kappa)
+    except BoundOverflowError as exc:
+        raise ConfigError(f"no bound report for this instance: {exc}") from None
     fields = [
         "lower_h0", "lower_h1", "upper_h0", "upper_h1",
         "closed_upper_h0", "closed_upper_h1", "gamma_used", "epsilon_used", "s_used",
@@ -449,7 +452,8 @@ def cmd_compare(opts, args) -> int:
 
 
 def cmd_tune_kappa(opts, args) -> int:
-    hyp, alpha, beta, seed = _parse_common(opts)
+    hyp, alpha, beta = _parse_common(opts)
+    seed = _parse_int(opts, "seed", 0)
     eps = _parse_float(opts, "tune_eps", 0.0)
     s = _parse_float(opts, "s", 1.0)
     horizon = _parse_int(opts, "horizon", 1)
@@ -502,21 +506,21 @@ def cmd_tune_kappa(opts, args) -> int:
     return EXIT_OK
 
 
-_COMMON = ("seed", "trials", "p0", "p1", "alpha", "beta", "gamma", "rate", "s", "kappa",
-           "horizon")
-_GRID = _COMMON + ("eps", "variants", "delta", "privsprt_pilot")
+_INSTANCE = ("p0", "p1", "alpha", "beta", "gamma")
+_GRID = ("seed", "trials") + _INSTANCE + ("rate", "s", "kappa", "horizon", "eps", "variants",
+                                          "delta", "privsprt_pilot")
 # subcommand: (handler, default output directory, help, option keys)
 COMMANDS = {
     "simulate": (cmd_simulate, "out", "run a seeded Monte Carlo experiment grid",
                  _GRID + ("truth", "accounting", "tau_sq_bound", "rdp_alpha")),
     "bounds": (cmd_bounds, None, "emit the bound report for one instance",
-               _COMMON + ("bounds_eps",)),
+               _INSTANCE + ("s", "kappa", "bounds_eps")),
     "compare": (cmd_compare, "out", "calibrate PrivSPRT and run a head-to-head grid",
                 _GRID + ("svg",)),
     "tune-kappa": (cmd_tune_kappa, None, "search the smallest correction scale whose "
                    "pilot errors stay below the targets",
-                   _COMMON + ("tune_eps", "tune_kappa_grid", "tune_pilot_trials",
-                              "tune_confirm_trials")),
+                   ("seed",) + _INSTANCE + ("s", "horizon", "tune_eps", "tune_kappa_grid",
+                                            "tune_pilot_trials", "tune_confirm_trials")),
 }
 
 
@@ -529,8 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, keys=keys)
         p.add_argument("--config", help="flat key=value config file, or a manifest.json")
         p.add_argument("--out", default=out, help="output directory")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (default: the CPU count)")
+        if name != "bounds":  # the one subcommand that runs no trials
+            p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                           help="worker processes (default: the CPU count)")
         for key in keys:
             default, text = OPTIONS[key]
             flag = FLAGS.get(key, "--" + key.replace("_", "-"))
@@ -544,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(_resolve_options(args), args)
     except ConfigError as exc:

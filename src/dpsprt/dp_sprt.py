@@ -13,11 +13,12 @@ halting at the first n with xbar_n + Y_n/n <= lower(n) - Z/n (decide 0), or
 failing that, xbar_n + Y_n/n >= upper(n) + Z/n (decide 1). The subsampled
 variant keeps each observation with probability r, divides the budget term
 by the included count M_n, and multiplies the noise and correction terms
-by r, with unchanged Laplace scales.
+by r, with unchanged Laplace scales; a step with M_n = 0 compares nothing.
 
-All variants run in one chunked loop, `TestKernel.run`. A kernel is
-prepared once per configuration and reused across trials; `run_test` on a
-bare configuration prepares one for a single trial.
+All variants, and the PrivSPRT baseline, run in one chunked first-exit
+loop, `Kernel.run`. A kernel is prepared once per configuration and reused
+across trials; `run_test` on a bare configuration prepares one for a single
+trial.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .noise import (
     sample_z,
 )
 from .outside_interval import StreamExhaustedError
-from .rngcore import StreamKey, Substream, derive, noise_keys, rekey
+from .rngcore import NOISE_ROLES, StreamKey, derive, rekey, stream_words
 
 __all__ = [
     "Classical",
@@ -56,10 +57,10 @@ __all__ = [
     "threshold_lower",
     "threshold_upper",
     "BitReader",
+    "Kernel",
     "TestKernel",
     "Trial",
     "run_test",
-    "run_test_subsampled",
 ]
 
 _CHUNK_START = 128
@@ -316,9 +317,9 @@ class Trial(NamedTuple):
     """One trial of a prepared kernel: the seed its noise streams derive
     from, and optionally those streams' key words, one pair per role of
     `rngcore.NOISE_ROLES`, as `rngcore.stream_words` gives them for a block
-    of seeds. Without them the kernel derives the keys from the seed."""
+    of seeds. Without them the kernel computes the keys from the seed."""
 
-    kernel: "TestKernel | PrivSprtKernel"
+    kernel: "Kernel"
     seed: int
     words: Sequence | None = None
 
@@ -326,30 +327,66 @@ class Trial(NamedTuple):
         return self.kernel.run(self.seed, observations, self.words)
 
 
-class TestKernel:
-    """A test configuration prepared once and run for many trials.
+class Kernel:
+    """A test prepared once and run for many trials: the first-exit loop.
 
-    It resolves the configuration's constants, keeps threshold tables over
-    the step counts seen so far, and keeps the Y, Z and subsampling
-    generators, which each run resets to the start of its seed's streams.
-    The tables hold the same values `threshold_lower` and `threshold_upper`
-    give; for the subsampled rule they hold only the n-only correction
-    terms, and the budget term, which divides by the included count, is
-    added per chunk.
+    A run resets the kernel's noise generators, one per role, to the start
+    of the trial's streams, walks the observations in chunks that double
+    from FIRST_CHUNK steps, and halts at the first step where either of the
+    test's two checks fires; the first check wins a tie, and DECISIONS gives
+    each check's decision. A subclass's `_checks` yields, per chunk, the
+    steps done before it, where each check fires, and the included counts
+    (None outside the subsampled rule).
     """
 
-    def __init__(self, cfg: TestConfig):
+    FIRST_CHUNK: int
+    DECISIONS: tuple[int, int]
+
+    def __init__(self, cfg, roles: int):
         self.cfg = cfg
-        self._res = _resolve(cfg)
-        self._rng_y = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Y))
-        self._rng_z = derive(StreamKey(cfg.seed, substream=Substream.NOISE_Z))
-        self._rng_b = None
-        if isinstance(cfg.variant, LaplaceSub):
-            self._rng_b = derive(StreamKey(cfg.seed, substream=Substream.SUBSAMPLE))
-        self._lo = self._hi = np.empty(0)
+        self._rngs = [derive(StreamKey(cfg.seed, substream=role)) for role in NOISE_ROLES[:roles]]
 
     def trial(self, seed: int, words: Sequence | None = None) -> Trial:
         return Trial(self, seed, words)
+
+    def run(self, seed: int, observations: Iterable[int], words=None) -> TestOutcome:
+        """Run the trial whose noise streams derive from `seed`; `words`,
+        when given, are their precomputed key words (see :class:`Trial`)."""
+        if words is None:
+            words = stream_words(seed, substream=NOISE_ROLES).tolist()
+        for rng, key in zip(self._rngs, words):
+            rekey(rng, key)
+        horizon = self.cfg.horizon
+        chunks = BitReader(observations).chunks(horizon, self.FIRST_CHUNK)
+        m = None
+        for n_done, first, second, m in self._checks(chunks, *self._rngs):
+            fired = first | second
+            if fired.any():
+                i = int(np.argmax(fired))
+                tau = n_done + i + 1
+                decision = self.DECISIONS[0 if first[i] else 1]
+                return TestOutcome(tau, decision, False, tau, None if m is None else int(m[i]))
+        return TestOutcome(horizon, None, True, horizon, None if m is None else int(m[-1]))
+
+
+class TestKernel(Kernel):
+    """A test configuration prepared once and run for many trials.
+
+    It resolves the configuration's constants and keeps threshold tables
+    over the step counts seen so far. The tables hold the same values
+    `threshold_lower` and `threshold_upper` give; for the subsampled rule
+    they hold only the n-only correction terms, and the budget term, which
+    divides by the included count, is added per chunk.
+    """
+
+    FIRST_CHUNK = _CHUNK_START
+    DECISIONS = (0, 1)  # the lower check comes first
+
+    def __init__(self, cfg: TestConfig):
+        self._sub = isinstance(cfg.variant, LaplaceSub)
+        super().__init__(cfg, 3 if self._sub else 2)
+        self._res = _resolve(cfg)
+        self._lo = self._hi = np.empty(0)
 
     def _thresholds(self, start: int, stop: int, m) -> tuple[np.ndarray, np.ndarray]:
         """Thresholds at steps start+1..stop; `m` holds the included counts
@@ -359,29 +396,21 @@ class TestKernel:
             size = min(max(stop, 2 * self._lo.size), self.cfg.horizon)
             n = np.arange(1, size + 1, dtype=np.float64)
             self._lo, self._hi = _corrections(self._res, n)
-            if self._rng_b is None:
+            if not self._sub:
                 self._lo, self._hi = _thresholds_vec(
                     self.cfg.hypotheses, self._res, n, self._lo, self._hi
                 )
         lo, hi = self._lo[start:stop], self._hi[start:stop]
-        if self._rng_b is None:
+        if not self._sub:
             return lo, hi
         return _thresholds_vec(self.cfg.hypotheses, self._res, m, lo, hi)
 
-    def run(self, seed: int, observations: Iterable[int], words=None) -> TestOutcome:
-        """Run the trial whose noise streams derive from `seed`; `words`,
-        when given, are their precomputed key words (see :class:`Trial`)."""
+    def _checks(self, chunks, rng_y, rng_z, rng_b=None):
         res = self._res
         rate = res.rate
-        keys = words if words is not None else noise_keys(seed)
-        rng_y = rekey(self._rng_y, keys[0])
-        rng_z = rekey(self._rng_z, keys[1])
         z = float(sample_z(res.spec, rng_z))
-        rng_b = self._rng_b
-        if rng_b is not None:
-            rekey(rng_b, keys[2])
         s_carry = m_carry = 0
-        for n_done, bits in BitReader(observations).chunks(self.cfg.horizon):
+        for n_done, bits in chunks:
             got = bits.size
             n = np.arange(n_done + 1, n_done + got + 1, dtype=np.float64)
             y = np.atleast_1d(sample_y(res.spec, rng_y, got))
@@ -397,24 +426,10 @@ class TestKernel:
                 xbar = s / n
             lower, upper = self._thresholds(n_done, n_done + got, m)
             stat = xbar + rate * y / n
-            cond0 = valid & (stat <= lower - rate * z / n)
-            cond1 = valid & (stat >= upper + rate * z / n)
-            fired = cond0 | cond1
-            if fired.any():
-                i = int(np.argmax(fired))
-                tau = n_done + i + 1
-                return TestOutcome(
-                    tau=tau,
-                    decision=0 if cond0[i] else 1,
-                    exhausted=False,
-                    samples_consumed=tau,
-                    included_count=int(m[i]) if rng_b is not None else None,
-                )
+            yield (n_done, valid & (stat <= lower - rate * z / n),
+                   valid & (stat >= upper + rate * z / n), m if rng_b is not None else None)
             s_carry = int(s[-1])
             m_carry = int(m[-1])
-        horizon = self.cfg.horizon
-        return TestOutcome(horizon, None, True, horizon,
-                           included_count=m_carry if rng_b is not None else None)
 
 
 def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcome:
@@ -434,15 +449,3 @@ def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcom
         cfg = TestKernel(cfg).trial(cfg.seed)
     return cfg.run(observations)
 
-
-def run_test_subsampled(cfg: TestConfig, observations: Iterable[int]) -> TestOutcome:
-    """Run the subsampled variant: keep each observation with probability r,
-    track the included sum S_n and count M_n, compare S_n/M_n + r*Y_n/n
-    against thresholds whose budget term divides by M_n and whose noise and
-    correction terms carry the factor r. Steps with M_n = 0 perform no
-    comparison. With r = 1 the trajectory coincides with the plain Laplace
-    variant under the same seed.
-    """
-    if not isinstance(cfg.variant, LaplaceSub):
-        raise TypeError("run_test_subsampled requires a LaplaceSub variant")
-    return run_test(cfg, observations)

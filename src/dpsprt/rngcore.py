@@ -19,8 +19,8 @@ from enum import IntEnum
 import numpy as np
 
 __all__ = [
-    "Substream", "StreamKey", "NOISE_ROLES", "noise_keys", "derive", "rekey", "fnv1a64", "mix64",
-    "mix64_array", "stream_words", "uniform_open",
+    "Substream", "StreamKey", "NOISE_ROLES", "derive", "rekey", "fnv1a64", "mix64", "mix64_array",
+    "stream_words", "uniform_open",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -95,12 +95,6 @@ class StreamKey:
 
 # the roles of a trial's noise streams, in the order its keys list them
 NOISE_ROLES = (Substream.NOISE_Y, Substream.NOISE_Z, Substream.SUBSAMPLE)
-
-
-def noise_keys(seed: int) -> tuple[StreamKey, ...]:
-    """The keys of the noise streams of the trial seeded `seed`, one per
-    role of :data:`NOISE_ROLES`."""
-    return tuple(StreamKey(seed, substream=role) for role in NOISE_ROLES)
 
 
 def derive(key: StreamKey) -> np.random.Generator:

@@ -47,6 +47,13 @@ class TestBounds:
     def test_alpha_beta_sum_is_config_error(self):
         assert main(["bounds", "--alpha", "0.6", "--beta", "0.6"]) == EXIT_CONFIG
 
+    def test_degenerate_instance_is_config_error(self, tmp_path, capsys):
+        """An eps so small that the critical time passes the search guard."""
+        out = tmp_path / "b"
+        assert main(["bounds", "--eps", "1e-300", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_out_dir_writes_declared_files(self, tmp_path):
         out = tmp_path / "b"
         rc = main(["bounds", "--eps", "1", "--out", str(out)])
@@ -159,7 +166,9 @@ class TestSimulate:
 
     def test_manifest_of_earlier_versions_replays(self, tmp_path):
         """A manifest holding only the 16 keys that versions before the
-        option table recorded reproduces the pinned bytes."""
+        option table recorded reproduces the pinned bytes. A `bounds`
+        manifest of those versions, which recorded keys `bounds` never read,
+        replays too."""
         config = {
             "p0": "0.3", "p1": "0.7", "alpha": "0.05", "beta": "0.05",
             "gamma": "auto", "rate": "auto", "eps": "1,5",
@@ -175,6 +184,13 @@ class TestSimulate:
         got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
                     for name in ("trials.csv", "summary.csv"))
         assert got == self.PINNED[7]
+
+        config.update(bounds_eps="1")
+        manifest.write_text(json.dumps({"command": "bounds", "config": config}))
+        rc = main(["bounds", "--config", str(manifest), "--out", str(tmp_path / "b1")])
+        assert rc == EXIT_OK
+        assert main(["bounds", "--eps", "1", "--out", str(tmp_path / "b2")]) == EXIT_OK
+        assert _read(tmp_path / "b1" / "bounds.csv") == _read(tmp_path / "b2" / "bounds.csv")
 
     def test_rerun_from_manifest_keeps_accounting(self, tmp_path):
         args = ["simulate", "--trials", "10", "--eps", "5", "--variants", "gaussian,laplace",
@@ -350,19 +366,19 @@ class TestTuneKappa:
 
 
 # The --flags in each subcommand's --help, recorded before one option table
-# replaced the hand-written argument parsers.
+# replaced the hand-written argument parsers, less the flags that `bounds`
+# (--seed, --trials, --rate, --horizon, --workers) and `tune-kappa`
+# (--trials, --rate, --kappa) took and never read.
 HELP_FLAGS = {
     "simulate": "--accounting --alpha --beta --config --delta --eps --gamma --help "
                 "--horizon --kappa --out --p0 --p1 --privsprt-pilot --rate --rdp-alpha "
                 "--s --seed --tau-sq-bound --trials --truth --variants --workers",
-    "bounds": "--alpha --beta --config --eps --gamma --help --horizon --kappa --out "
-              "--p0 --p1 --rate --s --seed --trials --workers",
+    "bounds": "--alpha --beta --config --eps --gamma --help --kappa --out --p0 --p1 --s",
     "compare": "--alpha --beta --config --delta --eps --gamma --help --horizon --kappa "
                "--out --p0 --p1 --privsprt-pilot --rate --s --seed --svg --trials "
                "--variants --workers",
     "tune-kappa": "--alpha --beta --config --confirm-trials --eps --gamma --help "
-                  "--horizon --kappa --kappa-grid --out --p0 --p1 --pilot-trials --rate "
-                  "--s --seed --trials --workers",
+                  "--horizon --kappa-grid --out --p0 --p1 --pilot-trials --s --seed --workers",
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,12 @@ from dpsprt.dp_sprt import (
     gaussian_scales,
     resolved_gamma,
     run_test,
-    run_test_subsampled,
     threshold_lower,
     threshold_upper,
 )
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import bernoulli_stream
-from dpsprt.noise import NoiseSpec
+from dpsprt.noise import NoiseFamily, NoiseSpec, sample_z
 from dpsprt.outside_interval import StreamExhaustedError
 from dpsprt.rngcore import StreamKey, Substream, derive
 
@@ -235,15 +235,9 @@ class TestSubsampled:
             plain = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=seed)
             sub = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 1.0), seed=seed)
             a = run_test(plain, _obs(0.3, seed))
-            b = run_test_subsampled(sub, _obs(0.3, seed))
+            b = run_test(sub, _obs(0.3, seed))
             assert (a.tau, a.decision, a.exhausted) == (b.tau, b.decision, b.exhausted)
             assert b.included_count == b.tau
-
-    def test_run_test_dispatches_subsampled(self):
-        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 1.0), seed=5)
-        a = run_test(cfg, _obs(0.3, 5))
-        b = run_test_subsampled(cfg, _obs(0.3, 5))
-        assert a == b
 
     def test_no_halt_before_first_inclusion(self):
         cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.01), seed=21)
@@ -251,25 +245,40 @@ class TestSubsampled:
         u = derive(StreamKey(21, substream=Substream.SUBSAMPLE)).random(10**5)
         first = int(np.argmax(u < 0.01)) + 1
         assert first > 1
-        out = run_test_subsampled(cfg, _obs(0.3, 21))
+        out = run_test(cfg, _obs(0.3, 21))
         assert out.tau >= first
         assert out.included_count >= 1
 
     def test_included_count_tracks_subsample_stream(self):
         cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.3), seed=8)
-        out = run_test_subsampled(cfg, _obs(0.3, 8))
+        out = run_test(cfg, _obs(0.3, 8))
         u = derive(StreamKey(8, substream=Substream.SUBSAMPLE)).random(out.tau)
         assert out.included_count == int(np.sum(u < 0.3))
 
-    def test_requires_subsampled_variant(self):
-        with pytest.raises(TypeError):
-            run_test_subsampled(_classical(), _obs(0.3, 0))
+    def test_included_count_of_an_exhausted_run(self):
+        """A horizon too short to stop reports M over the whole horizon: the
+        SUBSAMPLE uniforms below r among its first `horizon` draws."""
+        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.3), seed=8)
+        tau = run_test(cfg, _obs(0.3, 8)).tau
+        assert tau > 129  # the last horizon ends in the second chunk
+        for horizon in (1, 5, 128, 129, tau - 1):
+            out = run_test(replace(cfg, horizon=horizon), _obs(0.3, 8))
+            assert (out.tau, out.decision, out.exhausted) == (horizon, None, True)
+            u = derive(StreamKey(8, substream=Substream.SUBSAMPLE)).random(horizon)
+            assert out.included_count == int(np.sum(u < 0.3))
 
 
 class TestVariantOrdering:
     def test_lower_check_wins_when_both_fire(self):
-        # huge alpha and beta make both thresholds trivially crossable at n=1;
-        # a 0 bit satisfies the lower check, which is evaluated first
-        cfg = TestConfig(HYP, 0.9, 0.9, Classical())
-        out = run_test(cfg, iter([0]))
-        assert (out.tau, out.decision) == (1, 0)
+        # a threshold noise Z far below 0 moves the noisy lower threshold
+        # above the noisy upper one, so at n = 1 even a 1 bit satisfies both
+        # checks; the lower one is evaluated first
+        spec = NoiseSpec(NoiseFamily.LAPLACE, 1e-9, 1e3)
+        seeds = [seed for seed in range(20)
+                 if sample_z(spec, derive(StreamKey(seed, substream=Substream.NOISE_Z))) < -100]
+        assert seeds
+        for seed in seeds:
+            cfg = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=seed, noise_override=spec,
+                             zero_correction=True)
+            out = run_test(cfg, iter([1]))
+            assert (out.tau, out.decision) == (1, 0)

@@ -2,12 +2,14 @@
 tables grown on demand, gives what a fresh run of each trial gives, at any
 chunk, table-growth or horizon boundary and at any worker count."""
 
+import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpsprt import dp_sprt
+from dpsprt import dp_sprt, outside_interval
 from dpsprt.baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
 from dpsprt.dp_sprt import (
     Classical,
@@ -23,6 +25,7 @@ from dpsprt.dp_sprt import (
 )
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import ExperimentPlan, PlannedVariant, bernoulli_stream, run_experiment
+from dpsprt.noise import NoiseSpec
 from dpsprt.rngcore import NOISE_ROLES, StreamKey, derive, stream_words
 
 HYP = HypothesisPair.of(0.3, 0.7)
@@ -118,6 +121,45 @@ def test_horizon_boundary(name, eps):
         if out.tau > 1:
             before = _run(replace(cfg, horizon=out.tau - 1), _obs(p, tag))
             assert (before.tau, before.decision, before.exhausted) == (out.tau - 1, None, True)
+
+
+ZERO_NOISE = {
+    "classical": TestConfig(HYP, 0.05, 0.05, Classical()),
+    "laplace": TestConfig(HYP, 0.05, 0.05, Laplace(1.0), noise_override=NoiseSpec.zero()),
+    "gaussian": TestConfig(HYP, 0.05, 0.05, Gaussian(*gaussian_scales(1.0)), gamma=0.5,
+                           noise_override=NoiseSpec.zero()),
+    # a 0 bit crosses the lower threshold at n = 1 and a 1 bit the upper one
+    "wide-budgets": TestConfig(HYP, 0.9, 0.9, Classical()),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_NOISE))
+def test_zero_noise_kernel_matches_reference_mechanism(name, monkeypatch):
+    """Without noise nothing is left to luck: on the queries S_i/i and the
+    thresholds of `threshold_lower` and `threshold_upper`, the scalar
+    mechanism `outside_interval.run` and the kernel stop at the same step on
+    the same side, at any chunk size and horizon."""
+    cfg = ZERO_NOISE[name]
+    schedule = outside_interval.ThresholdSchedule(
+        functools.cache(lambda i: threshold_lower(cfg, i)),
+        functools.cache(lambda i: threshold_upper(cfg, i)),
+    )
+    decided = set()
+    for horizon in (1, 7, 128, 129, cfg.horizon):
+        kernel = TestKernel(replace(cfg, horizon=horizon))
+        for tag in range(20):
+            p = HYP.mu1 if tag % 2 else HYP.mu0
+            sums = itertools.accumulate(_obs(p, tag))
+            queries = (s / i for i, s in enumerate(sums, start=1))
+            ref = outside_interval.run(queries, schedule, NoiseSpec.zero(), derive(StreamKey(0)),
+                                       horizon)
+            want = (ref.halt_index, None if ref.side is None else ref.side.value, ref.exhausted)
+            decided.add(want[1])
+            for cap in (1, 5, 4096):
+                monkeypatch.setattr(dp_sprt, "_CHUNK_CAP", cap)
+                out = run_test(kernel.trial(tag), _obs(p, tag))
+                assert (out.tau, out.decision, out.exhausted) == want
+    assert {0, 1} <= decided
 
 
 @pytest.mark.parametrize("name", ["classical", "laplace", "gaussian", "laplace_sub"])
