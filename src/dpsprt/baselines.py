@@ -61,6 +61,8 @@ class PrivSprtConfig:
             raise ValueError("noise sigmas must be nonnegative")
         if self.trunc_a <= 0.0:
             raise ValueError("truncation half-width must be positive")
+        if self.horizon < 1:
+            raise ValueError("horizon must be a positive integer")
 
     @classmethod
     def from_epsilon(

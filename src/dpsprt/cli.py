@@ -1,8 +1,9 @@
 """Command-line front end: simulate | bounds | compare | tune-kappa.
 
-Every option is one key of OPTIONS. A key can be set by its flag, by a line
+Every option is one key of OPTIONS, which declares its default text, its
+parser (type and range) and its help. A key can be set by its flag, by a line
 of a flat key=value text file (``#`` comments), or by a manifest; flags win.
-A manifest is serialized next to the outputs so that any result can be
+main parses every key of the subcommand before the subcommand runs. A manifest is serialized next to the outputs so that any result can be
 re-run bit-identically by passing the manifest as the config file. Exit
 codes: 0 success, 2 configuration error, 3 infeasible calibration or
 tuning, 1 internal error.
@@ -52,36 +53,110 @@ EXIT_INFEASIBLE = 3
 
 ALL_VARIANTS = ["classical", "laplace", "gaussian", "laplace_sub", "privsprt"]
 
-# key: (default text, help). A key's flag is --key with "_" written as "-",
-# unless FLAGS names it. Values stay text until a subcommand parses them, so
-# a flag, a config line and a manifest entry all pass the same _parse_* check.
+
+def _number(lo=None, hi=None, open_lo=True, open_hi=True, unset=None):
+    """Parser of a finite number in the range from lo to hi, each end open
+    unless said otherwise; the text `unset` (such as 'auto') gives None."""
+    def parse(text):
+        if text.strip().lower() == unset:
+            return None
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValueError(f"not a number: {text!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"not a finite number: {text!r}")
+        if lo is not None and (v <= lo if open_lo else v < lo):
+            raise ValueError(f"value {v} out of range")
+        if hi is not None and (v >= hi if open_hi else v > hi):
+            raise ValueError(f"value {v} out of range")
+        return v
+    return parse
+
+
+def _integer(minimum):
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
+        if v < minimum:
+            raise ValueError(f"must be >= {minimum}, got {v}")
+        return v
+    return parse
+
+
+def _numbers(hi=math.inf):
+    """Parser of a nonempty comma-separated list of finite numbers in (0, hi]."""
+    def parse(text):
+        try:
+            vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"not a number list: {text!r}") from None
+        if not vals or any(not 0.0 < v <= hi or math.isinf(v) for v in vals):
+            raise ValueError(f"need a nonempty list of finite values in (0, {hi:g}]")
+        return vals
+    return parse
+
+
+def _switch(text) -> bool:
+    value = text.strip().lower()
+    if value not in ("yes", "no"):
+        raise ValueError(f"expected yes or no, got {text!r}")
+    return value == "yes"
+
+
+def _truth(text) -> tuple[int, ...]:
+    truths = {"both": (0, 1), "h0": (0,), "0": (0,), "h1": (1,), "1": (1,)}
+    try:
+        return truths[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected H0, H1, or both, got {text!r}") from None
+
+
+def _variants(text) -> list[str]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for name in names:
+        if name not in ALL_VARIANTS:
+            raise ValueError(f"unknown variant {name!r}")
+    return names
+
+
+# key: (default text, parser, help). A key's flag is --key with "_" written
+# as "-", unless FLAGS names it; a key parsed by _switch has a flag that takes
+# no value and sets "yes". Values stay text until main has resolved them, so
+# a flag, a config line and a manifest entry all pass the same parser.
 OPTIONS = {
-    "seed": ("", "master seed; when unset, DPSPRT_SEED or else 0"),
-    "trials": ("1000", "Monte Carlo trials per cell"),
-    "p0": ("0.3", "null-hypothesis success probability"),
-    "p1": ("0.7", "alternative success probability"),
-    "alpha": ("0.05", "target type I error"),
-    "beta": ("0.05", "target type II error"),
-    "gamma": ("auto", "error allocation in (0,1), or 'auto'"),
-    "rate": ("auto", "subsampling rate in (0,1], or 'auto'"),
-    "s": ("2.0", "zeta exponent of the correction"),
-    "kappa": ("1.0", "correction scale in (0,1]"),
-    "horizon": ("1000000", "step budget of one trial"),
-    "eps": ("0.1,1,5", "comma-separated epsilon grid"),
-    "variants": (",".join(ALL_VARIANTS), "comma-separated subset of the variants"),
-    "truth": ("H0", "H0, H1, or both"),
-    "delta": ("1e-5", "Gaussian DP delta"),
-    "privsprt_pilot": ("100", "pilot paths per PrivSPRT calibration"),
-    "accounting": ("no", "estimate the Gaussian RDP tau^2 term from pilot runs"),
-    "tau_sq_bound": ("", "asserted bound (>= 1) for the Gaussian RDP tau^2 term"),
-    "rdp_alpha": ("2.0", "Renyi order (> 1) of the Gaussian accounting"),
-    "svg": ("no", "also write an SVG chart"),
-    "bounds_eps": ("", "privacy parameter; unset gives the non-private report"),
-    "tune_eps": ("1.0", "privacy parameter"),
-    "tune_kappa_grid": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+    "seed": ("", _integer(0), "master seed; when unset, DPSPRT_SEED or else 0"),
+    "trials": ("1000", _integer(1), "Monte Carlo trials per cell"),
+    "p0": ("0.3", _number(0.0, 1.0), "null-hypothesis success probability"),
+    "p1": ("0.7", _number(0.0, 1.0), "alternative success probability"),
+    "alpha": ("0.05", _number(0.0, 1.0), "target type I error"),
+    "beta": ("0.05", _number(0.0, 1.0), "target type II error"),
+    "gamma": ("auto", _number(0.0, 1.0, unset="auto"), "error allocation in (0,1), or 'auto'"),
+    "rate": ("auto", _number(0.0, 1.0, open_hi=False, unset="auto"),
+             "subsampling rate in (0,1], or 'auto'"),
+    "s": ("2.0", _number(1.0), "zeta exponent of the correction"),
+    "kappa": ("1.0", _number(0.0, 1.0, open_hi=False), "correction scale in (0,1]"),
+    "horizon": ("1000000", _integer(1), "step budget of one trial"),
+    "eps": ("0.1,1,5", _numbers(), "comma-separated epsilon grid"),
+    "variants": (",".join(ALL_VARIANTS), _variants, "comma-separated subset of the variants"),
+    "truth": ("H0", _truth, "H0, H1, or both"),
+    "delta": ("1e-5", _number(0.0, 1.0), "Gaussian DP delta"),
+    "privsprt_pilot": ("100", _integer(1), "pilot paths per PrivSPRT calibration"),
+    "accounting": ("no", _switch, "estimate the Gaussian RDP tau^2 term from pilot runs"),
+    # tau >= 1, so E[tau^2] >= 1
+    "tau_sq_bound": ("", _number(1.0, open_lo=False, unset=""),
+                     "asserted bound (>= 1) for the Gaussian RDP tau^2 term"),
+    "rdp_alpha": ("2.0", _number(1.0), "Renyi order (> 1) of the Gaussian accounting"),
+    "svg": ("no", _switch, "also write an SVG chart"),
+    "bounds_eps": ("", _number(0.0, unset=""),
+                   "privacy parameter; unset gives the non-private report"),
+    "tune_eps": ("1.0", _number(0.0), "privacy parameter"),
+    "tune_kappa_grid": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", _numbers(1.0),
                         "comma-separated kappa grid in (0,1]"),
-    "tune_pilot_trials": ("200", "pilot trials per kappa and truth"),
-    "tune_confirm_trials": ("1000", "confirmation trials per truth"),
+    "tune_pilot_trials": ("200", _integer(1), "pilot trials per kappa and truth"),
+    "tune_confirm_trials": ("1000", _integer(1), "confirmation trials per truth"),
 }
 FLAGS = {
     "bounds_eps": "--eps",
@@ -90,7 +165,6 @@ FLAGS = {
     "tune_pilot_trials": "--pilot-trials",
     "tune_confirm_trials": "--confirm-trials",
 }
-SWITCHES = ("accounting", "svg")  # their flags take no value and set "yes"
 
 
 class ConfigError(Exception):
@@ -111,7 +185,8 @@ def _read_config(path: str) -> dict[str, str]:
         entries = [(path, str(k), str(v)) for k, v in cfg.items()]
     else:
         try:
-            lines = open(path, encoding="utf-8").read().splitlines()
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read config ({exc})") from None
         entries = []
@@ -144,89 +219,31 @@ def _resolve_options(args) -> dict[str, str]:
     return opts
 
 
-def _parse_float(opts, key, lo=None, hi=None, open_lo=True, open_hi=True):
-    try:
-        v = float(opts[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not a number: {opts[key]!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(f"key {key!r}: not a finite number: {opts[key]!r}")
-    if lo is not None and (v <= lo if open_lo else v < lo):
-        raise ConfigError(f"key {key!r}: value {v} out of range")
-    if hi is not None and (v >= hi if open_hi else v > hi):
-        raise ConfigError(f"key {key!r}: value {v} out of range")
-    return v
+def _parse(opts: dict[str, str]) -> dict:
+    """Each key's value as its OPTIONS parser reads it. Runs before a
+    subcommand does, so every value is checked before the first trial."""
+    values = {}
+    for key, text in opts.items():
+        try:
+            values[key] = OPTIONS[key][1](text)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
+    if values["p0"] >= values["p1"]:
+        raise ConfigError(f"need p0 < p1, got p0={values['p0']}, p1={values['p1']}")
+    return values
 
 
-def _parse_optional(opts, key, unset, *bounds, **sides) -> float | None:
-    """None when the key reads `unset` (such as 'auto'), else a checked float."""
-    if opts[key].strip().lower() == unset:
-        return None
-    return _parse_float(opts, key, *bounds, **sides)
-
-
-def _parse_int(opts, key, minimum):
-    try:
-        v = int(opts[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not an integer: {opts[key]!r}") from None
-    if v < minimum:
-        raise ConfigError(f"key {key!r}: must be >= {minimum}, got {v}")
-    return v
-
-
-def _parse_list(opts, key, hi=math.inf) -> list[float]:
-    """A nonempty comma-separated list of finite numbers in (0, hi]."""
-    try:
-        vals = [float(tok) for tok in opts[key].split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not a number list: {opts[key]!r}") from None
-    if not vals or any(not 0.0 < v <= hi or math.isinf(v) for v in vals):
-        raise ConfigError(f"key {key!r}: need a nonempty list of finite values in (0, {hi:g}]")
-    return vals
-
-
-def _parse_switch(opts, key) -> bool:
-    value = opts[key].strip().lower()
-    if value not in ("yes", "no"):
-        raise ConfigError(f"key {key!r}: expected yes or no, got {opts[key]!r}")
-    return value == "yes"
-
-
-def _parse_common(opts):
-    p0 = _parse_float(opts, "p0", 0.0, 1.0)
-    p1 = _parse_float(opts, "p1", 0.0, 1.0)
-    if p0 >= p1:
-        raise ConfigError(f"need p0 < p1, got p0={p0}, p1={p1}")
-    alpha = _parse_float(opts, "alpha", 0.0, 1.0)
-    beta = _parse_float(opts, "beta", 0.0, 1.0)
-    return HypothesisPair.of(p0, p1), alpha, beta
-
-
-def _run_grid(opts, truths, workers):
+def _run_grid(v, truths, workers):
     """Build the (variant family) x (epsilon grid) cells, calibrate the
-    PrivSPRT cells, and run the grid under each truth. Every grid key is
-    parsed before the first trial. Also returns each PrivSPRT cell's
-    calibration, for the manifest."""
-    hyp, alpha, beta = _parse_common(opts)
-    seed = _parse_int(opts, "seed", 0)
-    eps_list = _parse_list(opts, "eps")
-    horizon = _parse_int(opts, "horizon", 1)
-    s = _parse_float(opts, "s", 1.0)
-    kappa = _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False)
-    delta = _parse_float(opts, "delta", 0.0, 1.0)
-    gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
-    rate = _parse_optional(opts, "rate", "auto", 0.0, 1.0, open_hi=False)
-    trials = _parse_int(opts, "trials", 1)
-    pilot = _parse_int(opts, "privsprt_pilot", 1)
-    names = [tok.strip() for tok in opts["variants"].split(",") if tok.strip()]
-    for name in names:
-        if name not in ALL_VARIANTS:
-            raise ConfigError(f"key 'variants': unknown variant {name!r}")
-    params = CorrectionParams(s=s, kappa=kappa)
+    PrivSPRT cells, and run the grid under each truth. Also returns the
+    manifest's record of the run: each PrivSPRT cell's calibration, and a
+    warning when kappa < 1, which is printed too."""
+    hyp = HypothesisPair.of(v["p0"], v["p1"])
+    alpha, beta, gamma, horizon = v["alpha"], v["beta"], v["gamma"], v["horizon"]
+    params = CorrectionParams(s=v["s"], kappa=v["kappa"])
     cells = []
-    for eps in eps_list:
-        for name in names:
+    for eps in v["eps"]:
+        for name in v["variants"]:
             vid = f"{name}@eps={eps:g}"
             if name == "classical":
                 cfg = TestConfig(hyp, alpha, beta, Classical(), horizon=horizon)
@@ -234,7 +251,7 @@ def _run_grid(opts, truths, workers):
                 cfg = TestConfig(hyp, alpha, beta, Laplace(eps), gamma=gamma,
                                  correction=params, horizon=horizon)
             elif name == "gaussian":
-                sy, sz = gaussian_scales(eps, delta)
+                sy, sz = gaussian_scales(eps, v["delta"])
                 if not sy**2 + sz**2 > 0.0:  # the correction needs a positive variance
                     raise ConfigError(f"key 'eps': {eps:g} is too large for the gaussian "
                                       "variant: its noise variance underflows to 0")
@@ -242,142 +259,110 @@ def _run_grid(opts, truths, workers):
                 cfg = TestConfig(hyp, alpha, beta, Gaussian(sy, sz), gamma=g,
                                  correction=params, horizon=horizon)
             elif name == "laplace_sub":
-                r = rate if rate is not None else default_subsample_rate(eps)
+                r = v["rate"] if v["rate"] is not None else default_subsample_rate(eps)
                 cfg = TestConfig(hyp, alpha, beta, LaplaceSub(eps, r), gamma=gamma,
                                  correction=params, horizon=horizon)
             else:
-                cfg = PrivSprtConfig.from_epsilon(hyp, eps, delta, horizon=horizon)
+                cfg = PrivSprtConfig.from_epsilon(hyp, eps, v["delta"], horizon=horizon)
             cells.append(PlannedVariant(vid, cfg, eps))
     calibration = {}
     for i, cell in enumerate(cells):
         if isinstance(cell.config, PrivSprtConfig):
-            rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
-            cal = calibrate_privsprt(cell.config, alpha, beta, pilot_trials=pilot, rng=rng)
+            rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
+            cal = calibrate_privsprt(cell.config, alpha, beta, pilot_trials=v["privsprt_pilot"],
+                                     rng=rng)
             calibration[cell.variant_id] = asdict(cal)
             cfg = replace(cell.config, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
             cells[i] = replace(cell, config=cfg)
     results = []
     for truth in truths:
-        plan = ExperimentPlan(hyp.mu0, hyp.mu1, truth, tuple(cells), trials, seed)
+        plan = ExperimentPlan(hyp.mu0, hyp.mu1, truth, tuple(cells), v["trials"], v["seed"])
         results.extend(run_experiment(plan, workers=workers))
-    return cells, hyp, results, calibration
+    record = {"privsprt_calibration": calibration}
+    if v["kappa"] < 1.0:
+        record["warning"] = "kappa < 1: no formal correctness guarantee"
+        print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
+    return cells, hyp, results, record
 
 
-def _truths(opts) -> list[int]:
-    raw = opts["truth"].strip().lower()
-    if raw == "both":
-        return [0, 1]
-    if raw in ("h0", "0"):
-        return [0]
-    if raw in ("h1", "1"):
-        return [1]
-    raise ConfigError(f"key 'truth': expected H0, H1, or both, got {opts['truth']!r}")
-
-
-def _manifest(command: str, opts: dict, outputs: list[str], extra: dict | None = None) -> dict:
-    doc = {
+def _write_outputs(args, opts, writers: dict, extra=None) -> None:
+    """Write all declared outputs plus the manifest; nothing else."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, writer in writers.items():
+        writer(os.path.join(args.out, name))
+    manifest = {
         "tool": "dpsprt",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "command": command,
+        "command": args.command,
         "config": opts,
-        "outputs": outputs,
+        "outputs": list(writers) + ["manifest.json"],
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
-def _write_outputs(out_dir, command, opts, writers: dict, extra=None) -> None:
-    """Write all declared outputs plus the manifest; nothing else."""
-    os.makedirs(out_dir, exist_ok=True)
-    names = list(writers) + ["manifest.json"]
-    for name, writer in writers.items():
-        writer(os.path.join(out_dir, name))
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(_manifest(command, opts, names, extra), fh, indent=2)
-        fh.write("\n")
-
-
-def _accounting(opts):
-    """Parse the accounting keys; return the function that gives each cell's
-    privacy guarantee, for the manifest."""
-    pilot = _parse_switch(opts, "accounting")
-    # tau >= 1, so E[tau^2] >= 1
-    tau_bound = _parse_optional(opts, "tau_sq_bound", "", 1.0, open_lo=False)
-    rdp_alpha = _parse_float(opts, "rdp_alpha", 1.0)
-    seed = _parse_int(opts, "seed", 0)
-
-    def guarantees(cells) -> dict:
-        notes = {}
-        for cell in cells:
-            cfg = cell.config
-            if isinstance(cfg, PrivSprtConfig):
-                continue
-            v = cfg.variant
-            if isinstance(v, (Laplace, LaplaceSub)):
-                notes[cell.variant_id] = {"kind": "pure_dp", "epsilon": v.epsilon,
-                                          "delta": 0.0, "alpha_order": None,
-                                          "tau_sq_source": None}
-            elif isinstance(v, Gaussian):
-                if tau_bound is not None:
-                    tsq, source = tau_bound, "asserted"
-                elif pilot:
-                    rng = derive(StreamKey(seed, fnv1a64(cell.variant_id), 0, Substream.PILOT))
-                    est = estimate_tau_sq(cfg, 100, rng)
-                    tsq = est.value
-                    source = f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
-                else:
-                    notes[cell.variant_id] = {
-                        "kind": "rdp", "epsilon": None, "delta": None,
-                        "alpha_order": rdp_alpha,
-                        "tau_sq_source": "unavailable (pass --accounting or --tau-sq-bound)",
-                    }
-                    continue
-                eps_alpha = gaussian_rdp_profile(v.sigma_y, v.sigma_z, tsq, rdp_alpha)
-                approx = rdp_to_approx_dp(lambda a: eps_alpha, rdp_alpha, 2.0 * eps_alpha)
+def _guarantees(v, cells) -> dict:
+    """Each private cell's privacy guarantee, for the manifest."""
+    notes = {}
+    for cell in cells:
+        cfg = cell.config
+        if isinstance(cfg, PrivSprtConfig):
+            continue
+        var = cfg.variant
+        if isinstance(var, (Laplace, LaplaceSub)):
+            notes[cell.variant_id] = {"kind": "pure_dp", "epsilon": var.epsilon,
+                                      "delta": 0.0, "alpha_order": None,
+                                      "tau_sq_source": None}
+        elif isinstance(var, Gaussian):
+            if v["tau_sq_bound"] is not None:
+                tsq, source = v["tau_sq_bound"], "asserted"
+            elif v["accounting"]:
+                rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
+                est = estimate_tau_sq(cfg, 100, rng)
+                tsq = est.value
+                source = f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
+            else:
                 notes[cell.variant_id] = {
-                    "kind": "rdp_to_approx_dp", "epsilon": approx.epsilon,
-                    "delta": approx.delta, "alpha_order": rdp_alpha,
-                    "tau_sq_source": source,
+                    "kind": "rdp", "epsilon": None, "delta": None,
+                    "alpha_order": v["rdp_alpha"],
+                    "tau_sq_source": "unavailable (pass --accounting or --tau-sq-bound)",
                 }
-        return notes
+                continue
+            eps_alpha = gaussian_rdp_profile(var.sigma_y, var.sigma_z, tsq, v["rdp_alpha"])
+            approx = rdp_to_approx_dp(lambda a: eps_alpha, v["rdp_alpha"], 2.0 * eps_alpha)
+            notes[cell.variant_id] = {
+                "kind": "rdp_to_approx_dp", "epsilon": approx.epsilon,
+                "delta": approx.delta, "alpha_order": v["rdp_alpha"],
+                "tau_sq_source": source,
+            }
+    return notes
 
-    return guarantees
 
-
-def cmd_simulate(opts, args) -> int:
-    truths = _truths(opts)
-    guarantees = _accounting(opts)
-    cells, hyp, results, calibration = _run_grid(opts, truths, args.workers)
-    extra = {"privacy_guarantees": guarantees(cells), "privsprt_calibration": calibration}
-    if _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False) < 1.0:
-        extra["warning"] = "kappa < 1: no formal correctness guarantee"
-        print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
+def cmd_simulate(v, opts, args) -> int:
+    cells, hyp, results, record = _run_grid(v, v["truth"], args.workers)
     _write_outputs(
-        args.out, "simulate", opts,
+        args, opts,
         {
             "trials.csv": lambda p: write_trials_csv(p, results, hyp.mu0, hyp.mu1),
             "summary.csv": lambda p: write_summary_csv(p, results),
         },
-        extra,
+        {"privacy_guarantees": _guarantees(v, cells), **record},
     )
     print(f"wrote {len(results)} summary rows to {args.out}")
     return EXIT_OK
 
 
-def cmd_bounds(opts, args) -> int:
-    hyp, alpha, beta = _parse_common(opts)
+def cmd_bounds(v, opts, args) -> int:
+    alpha, beta, eps = v["alpha"], v["beta"], v["bounds_eps"]
     if alpha + beta >= 1.0:
         raise ConfigError(f"need alpha + beta < 1, got {alpha} + {beta}")
-    s = _parse_float(opts, "s", 1.0)
-    kappa = _parse_float(opts, "kappa", 0.0, 1.0, open_hi=False)
-    eps = _parse_optional(opts, "bounds_eps", "", 0.0)
-    gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
+    gamma = v["gamma"]
     if gamma is None:
         gamma = default_gamma(eps) if eps is not None else 0.5
     try:
-        report = build_report(hyp, alpha, beta, gamma, eps, s, kappa)
+        report = build_report(HypothesisPair.of(v["p0"], v["p1"]), alpha, beta, gamma, eps,
+                              v["s"], v["kappa"])
     except BoundOverflowError as exc:
         raise ConfigError(f"no bound report for this instance: {exc}") from None
     fields = [
@@ -390,13 +375,8 @@ def cmd_bounds(opts, args) -> int:
     ) + "\n"
     sys.stdout.write(text)
     if args.out:
-        _write_outputs(
-            args.out, "bounds", opts,
-            {
-                "bounds.csv": lambda p: _write_text(p, text),
-                "bounds.json": lambda p: _write_json(p, row),
-            },
-        )
+        _write_outputs(args, opts, {"bounds.csv": lambda p: _write_text(p, text),
+                                    "bounds.json": lambda p: _write_json(p, row)})
     return EXIT_OK
 
 
@@ -411,9 +391,8 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def cmd_compare(opts, args) -> int:
-    svg = _parse_switch(opts, "svg")
-    _, hyp, results, calibration = _run_grid(opts, [0], args.workers)
+def cmd_compare(v, opts, args) -> int:
+    _, hyp, results, record = _run_grid(v, (0,), args.workers)
 
     rows = []
     for res in results:
@@ -429,7 +408,7 @@ def cmd_compare(opts, args) -> int:
                         "type1_hat", "type1_ci"])
             for row in rows:
                 w.writerow([repr(float(row[0])), row[1]] + [
-                    repr(float(v)) if isinstance(v, float) else v for v in row[2:]
+                    repr(float(x)) if isinstance(x, float) else x for x in row[2:]
                 ])
 
     writers = {
@@ -437,7 +416,7 @@ def cmd_compare(opts, args) -> int:
         "summary.csv": lambda p: write_summary_csv(p, results),
         "comparison.csv": write_comparison,
     }
-    if svg:
+    if v["svg"]:
         series = {}
         for eps, family, mean_tau, *_ in rows:
             series.setdefault(family, []).append((eps, mean_tau))
@@ -446,31 +425,26 @@ def cmd_compare(opts, args) -> int:
             write_line_chart(path, series, "epsilon", "mean stopping time")
 
         writers["comparison.svg"] = write_svg
-    _write_outputs(args.out, "compare", opts, writers, {"privsprt_calibration": calibration})
+    _write_outputs(args, opts, writers, record)
     print(f"wrote comparison for {len(rows)} cells to {args.out}")
     return EXIT_OK
 
 
-def cmd_tune_kappa(opts, args) -> int:
-    hyp, alpha, beta = _parse_common(opts)
-    seed = _parse_int(opts, "seed", 0)
-    eps = _parse_float(opts, "tune_eps", 0.0)
-    s = _parse_float(opts, "s", 1.0)
-    horizon = _parse_int(opts, "horizon", 1)
-    gamma = _parse_optional(opts, "gamma", "auto", 0.0, 1.0)
-    grid = sorted(_parse_list(opts, "tune_kappa_grid", 1.0))
-    pilot_trials = _parse_int(opts, "tune_pilot_trials", 1)
-    confirm_trials = _parse_int(opts, "tune_confirm_trials", 1)
+def cmd_tune_kappa(v, opts, args) -> int:
+    hyp = HypothesisPair.of(v["p0"], v["p1"])
+    alpha, beta, eps = v["alpha"], v["beta"], v["tune_eps"]
+    pilot_trials, confirm_trials = v["tune_pilot_trials"], v["tune_confirm_trials"]
 
     def errors_for(kappa: float, n_trials: int, tag: str) -> tuple[float, float]:
-        cfg = TestConfig(hyp, alpha, beta, Laplace(eps), gamma=gamma,
-                         correction=CorrectionParams(s=s, kappa=kappa), horizon=horizon)
+        cfg = TestConfig(hyp, alpha, beta, Laplace(eps), gamma=v["gamma"],
+                         correction=CorrectionParams(s=v["s"], kappa=kappa),
+                         horizon=v["horizon"])
         pair = []
         for truth in (0, 1):
             plan = ExperimentPlan(
                 hyp.mu0, hyp.mu1, truth,
                 (PlannedVariant(f"tune:{tag}@kappa={kappa:g}", cfg, eps),),
-                n_trials, seed,
+                n_trials, v["seed"],
             )
             res = run_experiment(plan, workers=args.workers)[0]
             pair.append(res.stats.error_rate)
@@ -478,7 +452,7 @@ def cmd_tune_kappa(opts, args) -> int:
 
     selected = None
     pilot_errors = None
-    for kappa in grid:  # ascending: the smallest feasible kappa wins
+    for kappa in sorted(v["tune_kappa_grid"]):  # ascending: the smallest feasible kappa wins
         e0, e1 = errors_for(kappa, pilot_trials, "pilot")
         if e0 <= alpha and e1 <= beta:
             selected, pilot_errors = kappa, (e0, e1)
@@ -499,10 +473,7 @@ def cmd_tune_kappa(opts, args) -> int:
     }
     print(json.dumps(doc, indent=2))
     if args.out:
-        _write_outputs(
-            args.out, "tune-kappa", opts,
-            {"tune_kappa.json": lambda p: _write_json(p, doc)},
-        )
+        _write_outputs(args, opts, {"tune_kappa.json": lambda p: _write_json(p, doc)})
     return EXIT_OK
 
 
@@ -537,9 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                            help="worker processes (default: the CPU count)")
         for key in keys:
-            default, text = OPTIONS[key]
+            default, parse, text = OPTIONS[key]
             flag = FLAGS.get(key, "--" + key.replace("_", "-"))
-            if key in SWITCHES:
+            if parse is _switch:
                 p.add_argument(flag, dest=key, action="store_const", const="yes", help=text)
             else:
                 p.add_argument(flag, dest=key, help=f"{text} (default: {default or 'unset'})")
@@ -551,7 +522,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        return args.func(_resolve_options(args), args)
+        opts = _resolve_options(args)
+        return args.func(_parse(opts), opts, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

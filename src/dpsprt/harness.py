@@ -253,7 +253,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRes
         for start, stop in zip(bounds, bounds[1:])
     ]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             blocks = list(pool.map(_run_block, jobs))
     else:
         blocks = [_run_block(job) for job in jobs]

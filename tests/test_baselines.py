@@ -51,6 +51,15 @@ class TestConfigDefaults:
         with pytest.raises(ValueError):
             PrivSprtConfig(HYP, 1.0, 1.0, trunc_a=0.0)
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, horizon):
+        """As TestConfig does: a run at such a horizon would take no step."""
+        with pytest.raises(ValueError, match="horizon"):
+            PrivSprtConfig.from_epsilon(HYP, 1.0, horizon=horizon)
+        calibrated = replace(_zero_noise(), thresh_a=5.0, thresh_b=5.0)
+        with pytest.raises(ValueError, match="horizon"):
+            replace(calibrated, horizon=horizon)
+
     def test_uncalibrated_run_rejected(self):
         with pytest.raises(ValueError):
             run_privsprt(_zero_noise(), iter([1, 0]))

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dpsprt.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, OPTIONS, main
+from dpsprt import cli
+from dpsprt.cli import COMMANDS, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, OPTIONS, main
 
 
 def _read(path):
@@ -83,7 +84,8 @@ class TestSimulate:
         assert set(manifest["outputs"]) == {"trials.csv", "summary.csv", "manifest.json"}
         # every declared file exists and nothing undeclared was written
         assert set(os.listdir(out)) == set(manifest["outputs"])
-        rows = list(csv.reader((out / "summary.csv").open()))
+        with (out / "summary.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2 * 2  # two variants, both truths
         guarantees = manifest["privacy_guarantees"]
         assert guarantees["laplace@eps=1"]["kind"] == "pure_dp"
@@ -226,7 +228,8 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--trials", "5", "--out", str(out),
                    "--workers", "1"])
         assert rc == EXIT_OK
-        rows = list(csv.reader((out / "trials.csv").open()))
+        with (out / "trials.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1 + 5  # flag wins over config
 
     def test_kappa_below_one_is_flagged(self, tmp_path, capsys):
@@ -244,7 +247,8 @@ class TestSimulate:
         rc = main(["simulate", "--trials", "4", "--seed", "7", "--privsprt-pilot", "30",
                    "--out", str(out), "--workers", "1"])
         assert rc == EXIT_OK
-        rows = list(csv.DictReader((out / "summary.csv").open()))
+        with (out / "summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 15
         assert {r["variant_id"].split("@")[0] for r in rows} == {
             "classical", "laplace", "gaussian", "laplace_sub", "privsprt"
@@ -296,7 +300,8 @@ class TestCompare:
         rc = main(["compare", "--trials", "30", "--eps", "1", "--seed", "7",
                    "--privsprt-pilot", "60", "--out", str(out), "--workers", "1", "--svg"])
         assert rc == EXIT_OK
-        rows = list(csv.DictReader((out / "comparison.csv").open()))
+        with (out / "comparison.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         families = {r["variant_id"] for r in rows}
         assert families == {"classical", "laplace", "gaussian", "laplace_sub", "privsprt"}
         for r in rows:
@@ -316,6 +321,26 @@ class TestCompare:
         first, second = (json.loads((out / "manifest.json").read_text())["privsprt_calibration"]
                          for out in (out1, out2))
         assert list(first) == ["privsprt@eps=1"] and second == first
+
+    # SHA-256 of (trials.csv, summary.csv, comparison.csv) of the run below,
+    # as written before `compare` flagged kappa < 1: the flag leaves them be
+    KAPPA_HALF = ("48b37a2881a881a15f133dee3864a1bb16239b52b11725d79ee00cb2ee03dc8d",
+                  "7929ee6ad6839d069bb5254ad834255bfabdb8650a1d3c2885423ee2e3c8405c",
+                  "6803ed265f86c3782b9a484f8eda7be7c6e4a9bc2ce3389f6af1ee2298fb136f")
+
+    def test_kappa_below_one_is_flagged(self, tmp_path, capsys):
+        out = tmp_path / "k"
+        rc = main(["compare", "--trials", "20", "--eps", "1,5", "--seed", "7", "--kappa", "0.5",
+                   "--variants", "classical,laplace,gaussian,laplace_sub", "--workers", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        assert "warning: kappa < 1 voids the formal correctness guarantee" in (
+            capsys.readouterr().err)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warning"] == "kappa < 1: no formal correctness guarantee"
+        got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
+                    for name in ("trials.csv", "summary.csv", "comparison.csv"))
+        assert got == self.KAPPA_HALF
 
     def test_calibration_failure_exit_code(self, tmp_path, capsys):
         # a horizon too short for any pilot path to decide
@@ -422,6 +447,54 @@ def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     assert main(argv + ["--out", str(out), "--workers", "1"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one value per key that its parser rejects
+BAD_VALUES = {
+    "seed": "-1", "trials": "0", "p0": "1.5", "p1": "0", "alpha": "1", "beta": "nan",
+    "gamma": "1.5", "rate": "0", "s": "1", "kappa": "1.5", "horizon": "0", "eps": "0,1",
+    "variants": "bogus", "truth": "H2", "delta": "1", "privsprt_pilot": "0",
+    "accounting": "maybe", "tau_sq_bound": "0.5", "rdp_alpha": "1", "svg": "true",
+    "bounds_eps": "0", "tune_eps": "abc", "tune_kappa_grid": "0.5,1.5",
+    "tune_pilot_trials": "0", "tune_confirm_trials": "-1",
+}
+
+
+def test_bad_values_cover_every_key():
+    assert set(BAD_VALUES) == set(OPTIONS)
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (*_, keys) in COMMANDS.items() for key in keys])
+def test_every_key_is_parsed_before_its_subcommand_runs(tmp_path, capsys, monkeypatch,
+                                                        command, key):
+    """A bad value of any key a subcommand takes exits 2 and names the key,
+    and neither a trial nor a calibration starts."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+    config = tmp_path / "manifest.json"
+    config.write_text(json.dumps({"config": {key: BAD_VALUES[key]}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert main(argv + ([] if command == "bounds" else ["--workers", "1"])) == EXIT_CONFIG
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_default_parses(monkeypatch):
+    """Each subcommand's defaults parse, the seed through its fallback, and
+    every key belongs to some subcommand."""
+    monkeypatch.delenv("DPSPRT_SEED", raising=False)
+    parser = cli._build_parser()
+    seen = set()
+    for command in COMMANDS:
+        opts = cli._resolve_options(parser.parse_args([command]))
+        assert set(cli._parse(opts)) == set(opts)
+        seen.update(opts)
+    assert seen == set(OPTIONS)
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -140,6 +140,32 @@ class TestRunExperiment:
         assert stats.mean_tau == 1.0
         assert stats.n_exhausted > 0
 
+    def test_pool_is_no_larger_than_the_job_list(self, monkeypatch):
+        """64 workers for one cell of 3 trials ask for a pool of 3. The fake
+        pool runs the blocks in this process, so no worker is started."""
+        import dpsprt.harness as harness
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        plan = _plan([_classical_variant()], n_trials=3)
+        serial = run_experiment(plan, workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        assert run_experiment(plan, workers=64) == serial
+        assert sizes == [3]
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -165,7 +191,8 @@ class TestCsvOutput:
         write_trials_csv(p1, results, HYP.mu0, HYP.mu1)
         write_trials_csv(p2, run_experiment(plan), HYP.mu0, HYP.mu1)
         assert p1.read_bytes() == p2.read_bytes()
-        rows = list(csv.reader(p1.open()))
+        with p1.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == TRIAL_COLUMNS
         assert len(rows) == 1 + 8
         row = dict(zip(rows[0], rows[1]))
@@ -182,7 +209,8 @@ class TestCsvOutput:
         plan = _plan([_classical_variant()], n_trials=8)
         path = tmp_path / "s.csv"
         write_summary_csv(path, run_experiment(plan))
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == SUMMARY_COLUMNS
         assert len(rows) == 2
         row = dict(zip(rows[0], rows[1]))
