@@ -116,6 +116,8 @@ def _truth(text) -> tuple[int, ...]:
 
 def _variants(text) -> list[str]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise ValueError("need a nonempty list of variants")
     for name in names:
         if name not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {name!r}")
@@ -234,10 +236,10 @@ def _parse(opts: dict[str, str]) -> dict:
 
 
 def _run_grid(v, truths, workers):
-    """Build the (variant family) x (epsilon grid) cells, calibrate the
-    PrivSPRT cells, and run the grid under each truth. Also returns the
-    manifest's record of the run: each PrivSPRT cell's calibration, and a
-    warning when kappa < 1, which is printed too."""
+    """Build the (variant family) x (epsilon grid) cells, each id once,
+    calibrate the PrivSPRT cells, and run the grid under each truth. Also
+    returns the manifest's record of the run: each PrivSPRT cell's
+    calibration, and a warning when kappa < 1, which is printed too."""
     hyp = HypothesisPair.of(v["p0"], v["p1"])
     alpha, beta, gamma, horizon = v["alpha"], v["beta"], v["gamma"], v["horizon"]
     params = CorrectionParams(s=v["s"], kappa=v["kappa"])
@@ -245,6 +247,9 @@ def _run_grid(v, truths, workers):
     for eps in v["eps"]:
         for name in v["variants"]:
             vid = f"{name}@eps={eps:g}"
+            if any(cell.variant_id == vid for cell in cells):
+                key = "variants" if v["variants"].count(name) > 1 else "eps"
+                raise ConfigError(f"key {key!r}: the grid repeats the cell {vid!r}")
             if name == "classical":
                 cfg = TestConfig(hyp, alpha, beta, Classical(), horizon=horizon)
             elif name == "laplace":

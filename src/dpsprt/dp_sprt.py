@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -164,14 +164,12 @@ def resolved_gamma(cfg: "TestConfig") -> float | None:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Stopping time, decision (absent if the horizon was exhausted), and
-    bookkeeping: observations consumed and, for the subsampled variant, the
-    included count M_tau."""
+    """Stopping time, decision (absent if the horizon was exhausted), and,
+    for the subsampled variant, the included count M_tau."""
 
     tau: int
     decision: int | None
     exhausted: bool
-    samples_consumed: int
     included_count: int | None = None
 
 
@@ -314,22 +312,22 @@ def threshold_upper(cfg: TestConfig, n: int, included: int | None = None) -> flo
 
 
 class Trial(NamedTuple):
-    """One trial of a prepared kernel: the seed its noise streams derive
-    from, and optionally those streams' key words, one pair per role of
-    `rngcore.NOISE_ROLES`, as `rngcore.stream_words` gives them for a block
-    of seeds. Without them the kernel computes the keys from the seed."""
+    """One trial of a prepared kernel: the key words of the trial's noise
+    streams, one pair per noise role the kernel reads, as
+    :meth:`Kernel.trials` and :meth:`Kernel.trial` compute them."""
 
     kernel: "Kernel"
-    seed: int
-    words: Sequence | None = None
+    words: list
 
     def run(self, observations: Iterable[int]) -> TestOutcome:
-        return self.kernel.run(self.seed, observations, self.words)
+        return self.kernel.run(self.words, observations)
 
 
 class Kernel:
     """A test prepared once and run for many trials: the first-exit loop.
 
+    It keys only the noise roles it reads, the first `roles` of
+    `rngcore.NOISE_ROLES`, for a block of seeds (`trials`) or one (`trial`).
     A run resets the kernel's noise generators, one per role, to the start
     of the trial's streams, walks the observations in chunks that double
     from FIRST_CHUNK steps, and halts at the first step where either of the
@@ -344,16 +342,22 @@ class Kernel:
 
     def __init__(self, cfg, roles: int):
         self.cfg = cfg
-        self._rngs = [derive(StreamKey(cfg.seed, substream=role)) for role in NOISE_ROLES[:roles]]
+        self._roles = NOISE_ROLES[:roles]
+        self._rngs = [derive(StreamKey(cfg.seed, substream=role)) for role in self._roles]
 
-    def trial(self, seed: int, words: Sequence | None = None) -> Trial:
-        return Trial(self, seed, words)
+    def trials(self, seeds) -> list[Trial]:
+        """The trials of a block of seeds (a uint64 array, or a sequence of
+        ints below 2^64), keyed in one vectorised pass."""
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        words = stream_words(seeds[:, None], substream=self._roles).tolist()
+        return [Trial(self, w) for w in words]
 
-    def run(self, seed: int, observations: Iterable[int], words=None) -> TestOutcome:
-        """Run the trial whose noise streams derive from `seed`; `words`,
-        when given, are their precomputed key words (see :class:`Trial`)."""
-        if words is None:
-            words = stream_words(seed, substream=NOISE_ROLES).tolist()
+    def trial(self, seed: int) -> Trial:
+        """The trial of one seed, an int of any size taken modulo 2^64."""
+        return Trial(self, stream_words(seed, substream=self._roles).tolist())
+
+    def run(self, words, observations: Iterable[int]) -> TestOutcome:
+        """Run the trial whose noise streams `words` key (see :class:`Trial`)."""
         for rng, key in zip(self._rngs, words):
             rekey(rng, key)
         horizon = self.cfg.horizon
@@ -365,8 +369,8 @@ class Kernel:
                 i = int(np.argmax(fired))
                 tau = n_done + i + 1
                 decision = self.DECISIONS[0 if first[i] else 1]
-                return TestOutcome(tau, decision, False, tau, None if m is None else int(m[i]))
-        return TestOutcome(horizon, None, True, horizon, None if m is None else int(m[-1]))
+                return TestOutcome(tau, decision, False, None if m is None else int(m[i]))
+        return TestOutcome(horizon, None, True, None if m is None else int(m[-1]))
 
 
 class TestKernel(Kernel):

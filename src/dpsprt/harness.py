@@ -5,7 +5,9 @@ variants, and a trial count. Trial i of variant v draws its observation
 and noise streams from keys derived injectively from (master_seed,
 variant_id, i), so results are bit-reproducible, independent of the order
 variants appear in the plan and of how many workers run the trials. Each
-job runs a block of one variant's trials on one kernel prepared for it.
+job runs a block of one variant's trials on one kernel prepared for it: the
+kernel keys the noise streams it reads for the whole block, and each trial's
+observation stream draws exactly the bits the kernel reads.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import numpy as np
 
 from .baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
 from .dp_sprt import Classical, LaplaceSub, TestConfig, TestKernel, resolved_gamma, run_test
-from .rngcore import (
-    NOISE_ROLES, StreamKey, Substream, derive, fnv1a64, mix64, mix64_array, stream_words,
-)
+from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64, mix64_array
 
 __all__ = [
     "BitStream",
@@ -50,38 +50,22 @@ SUMMARY_COLUMNS = [
 
 
 class BitStream:
-    """Buffered i.i.d. Bernoulli bit stream over a dedicated generator.
+    """I.i.d. Bernoulli bit stream over a dedicated generator.
 
-    The bit sequence is a pure function of the generator state, independent
-    of whether the consumer pulls bit by bit or in chunks.
+    `take(k)` draws exactly k uniforms, one 64-bit Philox word each, so the
+    bit sequence is a pure function of the generator state, independent of
+    whether the consumer pulls bit by bit or in chunks, and the stream draws
+    no bit its consumer does not take.
     """
-
-    _BLOCK = 4096
 
     def __init__(self, p: float, rng: np.random.Generator):
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in the open interval (0,1)")
         self._p = p
         self._rng = rng
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
-        # the first refill draws only what is asked for: most tests stop
-        # within their first chunk
-        self._block = 0
-
-    def _refill(self, k: int) -> None:
-        block = max(self._block, k)
-        self._block = self._BLOCK
-        fresh = (self._rng.random(block) < self._p).astype(np.int64)
-        self._buf = np.concatenate([self._buf[self._pos:], fresh])
-        self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
-        if self._buf.size - self._pos < k:
-            self._refill(k)
-        out = self._buf[self._pos : self._pos + k]
-        self._pos += k
-        return out
+        return (self._rng.random(k) < self._p).astype(np.int64)
 
     def __iter__(self):
         return self
@@ -152,9 +136,9 @@ def _trial_seeds(master_seed: int, vid: int, trials: np.ndarray) -> np.ndarray:
 
 
 def _run_block(args) -> list[TrialRecord]:
-    """Trials start..stop-1 of one cell, on one kernel prepared for the cell.
-    The trials' seeds and noise key words are computed for the whole block
-    at once; each trial still derives its own observation stream."""
+    """Trials start..stop-1 of one cell, on one kernel prepared for the cell,
+    which keys the whole block's noise streams at once. Each trial derives
+    its own observation stream first, then runs."""
     p_truth, variant, master_seed, start, stop = args
     vid = fnv1a64(variant.variant_id)
     if isinstance(variant.config, PrivSprtConfig):
@@ -162,11 +146,10 @@ def _run_block(args) -> list[TrialRecord]:
     else:
         kernel, run = TestKernel(variant.config), run_test
     seeds = _trial_seeds(master_seed, vid, np.arange(start, stop, dtype=np.uint64))
-    keys = stream_words(seeds[:, None], substream=NOISE_ROLES)
     records = []
-    for trial, token, words in zip(range(start, stop), seeds.tolist(), keys):
+    for trial, token, prepared in zip(range(start, stop), seeds.tolist(), kernel.trials(seeds)):
         obs = bernoulli_stream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
-        out = run(kernel.trial(token, words.tolist()), obs)
+        out = run(prepared, obs)
         records.append(TrialRecord(trial, out.tau, out.decision, out.exhausted, token))
     return records
 

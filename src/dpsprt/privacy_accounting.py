@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .dp_sprt import TestConfig, TestKernel, run_test
 from .harness import bernoulli_stream
-from .rngcore import NOISE_ROLES, StreamKey, Substream, derive, stream_words
+from .rngcore import StreamKey, Substream, derive
 
 __all__ = [
     "PureDP",
@@ -145,10 +143,9 @@ def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
         sq_sum = 0.0
         sq_sumsq = 0.0
         tokens = [int(rng.integers(0, 1 << 63)) for _ in range(n_pilot)]
-        keys = stream_words(np.array(tokens, dtype=np.uint64)[:, None], substream=NOISE_ROLES)
-        for token, words in zip(tokens, keys):
+        for token, trial in zip(tokens, kernel.trials(tokens)):
             obs = bernoulli_stream(p, derive(StreamKey(token, substream=Substream.PILOT)))
-            out = run_test(kernel.trial(token, words.tolist()), obs)
+            out = run_test(trial, obs)
             if out.exhausted:
                 reliable = False
             t2 = float(out.tau) ** 2

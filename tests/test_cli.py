@@ -484,6 +484,37 @@ def test_every_key_is_parsed_before_its_subcommand_runs(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("argv, key, cell", [
+    (["--variants", "laplace,laplace", "--eps", "0.1"], "variants", "laplace@eps=0.1"),
+    (["--variants", "laplace", "--eps", "1,1"], "eps", "laplace@eps=1"),
+    # distinct numbers that print alike name the same cell
+    (["--variants", "privsprt,laplace", "--eps", "0.1,0.10000001"], "eps", "privsprt@eps=0.1"),
+], ids=["variant-twice", "eps-twice", "eps-prints-alike"])
+def test_repeated_grid_cell_fails_before_calibration(tmp_path, capsys, monkeypatch, command,
+                                                    argv, key, cell):
+    """A grid that would hold one cell id twice exits 2, naming the key and
+    the cell, before any calibration or trial starts."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out), "--workers", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"key {key!r}" in err and repr(cell) in err
+    assert not out.exists()
+
+
+def test_empty_variant_list_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--variants", ",", "--trials", "2", "--workers", "1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "key 'variants'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_default_parses(monkeypatch):
     """Each subcommand's defaults parse, the seed through its fallback, and
     every key belongs to some subcommand."""

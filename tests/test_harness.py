@@ -61,6 +61,19 @@ class TestBitStream:
         b = np.array([next(s) for _ in range(1000)])
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sizes", [(0,), (1,), (5000,), (128, 256),
+                                       (128, 256, 512, 1024, 2048, 4096, 4096, 7)])
+    def test_take_draws_exactly_what_it_returns(self, sizes):
+        """After takes of k bits in all, as a reader's chunks ask for them,
+        the generator's next draw is the (k+1)-th draw of a fresh generator
+        on the same key: no bit is drawn ahead."""
+        rng = derive(StreamKey(6))
+        stream = bernoulli_stream(0.4, rng)
+        for k in sizes:
+            stream.take(k)
+        k = sum(sizes)
+        assert rng.random() == derive(StreamKey(6)).random(k + 1)[k]
+
     def test_distinct_trials_differ(self):
         a = bernoulli_stream(0.5, derive(StreamKey(4, 0, 0))).take(1000)
         b = bernoulli_stream(0.5, derive(StreamKey(4, 0, 1))).take(1000)

@@ -26,7 +26,7 @@ from dpsprt.dp_sprt import (
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import ExperimentPlan, PlannedVariant, bernoulli_stream, run_experiment
 from dpsprt.noise import NoiseSpec
-from dpsprt.rngcore import NOISE_ROLES, StreamKey, derive, stream_words
+from dpsprt.rngcore import StreamKey, derive
 
 HYP = HypothesisPair.of(0.3, 0.7)
 
@@ -63,18 +63,52 @@ def _run(cfg, obs):
 def test_reused_kernel_matches_fresh_runs(name):
     cfg = _configs(1.0)[name]
     kernel, run = _prepared(cfg)
-    # the noise key words a block of trials computes in one pass
-    keys = stream_words(np.arange(50, dtype=np.uint64)[:, None], substream=NOISE_ROLES)
+    # the trials of a block, keyed in one pass
+    block = kernel.trials(np.arange(50, dtype=np.uint64))
     taus = []
     for seed in range(50):
         p = HYP.mu1 if seed % 2 else HYP.mu0
         reused = run(kernel.trial(seed), _obs(p, seed))
         assert reused == _run(replace(cfg, seed=seed), _obs(p, seed))
-        assert reused == run(kernel.trial(seed, keys[seed].tolist()), _obs(p, seed))
+        assert reused == run(block[seed], _obs(p, seed))
         taus.append(reused.tau)
     if name != "classical":
         # some trials outrun the first chunk, so the tables grew in use
         assert max(taus) > 128
+
+
+SEED_EDGES = np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("name", list(_configs(1.0)))
+def test_block_keys_equal_single_seed_keys(name):
+    """A block's trials, keyed in one pass over uint64 seeds, equal the
+    trials keyed one int seed at a time, at and above 2^63."""
+    kernel = _prepared(_configs(1.0)[name])[0]
+    block = kernel.trials(SEED_EDGES)
+    assert block == [kernel.trial(seed) for seed in SEED_EDGES.tolist()]
+    assert kernel.trials(SEED_EDGES.tolist()) == block
+
+
+@pytest.mark.parametrize("name, pairs", [("classical", 2), ("laplace", 2), ("gaussian", 2),
+                                         ("laplace_sub", 3), ("privsprt", 2)])
+def test_a_trial_keys_only_the_roles_its_kernel_reads(name, pairs):
+    """Y and Z for every kernel; the subsampling stream only for the
+    subsampled rule."""
+    kernel = _prepared(_configs(1.0)[name])[0]
+    for trial in [kernel.trial(7)] + kernel.trials(SEED_EDGES):
+        assert len(trial.words) == pairs
+        assert all(len(pair) == 2 for pair in trial.words)
+
+
+@pytest.mark.parametrize("name", list(_configs(1.0)))
+def test_any_int_seed_acts_modulo_2_to_the_64(name):
+    """A config's seed may be any int: negative, or 2^64 and above; it keys
+    the noise streams modulo 2^64, as `StreamKey.words` does."""
+    cfg = _configs(1.0)[name]
+    for seed in (-1, -(2**63), -(2**70) + 3, 2**64, 2**64 + 5, 3 * 2**64 - 1):
+        got = _run(replace(cfg, seed=seed), _obs(HYP.mu0, 3))
+        assert got == _run(replace(cfg, seed=seed % 2**64), _obs(HYP.mu0, 3))
 
 
 def _outcomes():
