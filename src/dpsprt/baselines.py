@@ -5,6 +5,12 @@ PrivSPRT accumulates per-observation log-likelihood ratios clamped to
 streams, one per boundary, each with its own one-shot threshold noise. Its
 thresholds (a, b) carry no closed-form calibration; they are tuned by grid
 search against pilot Monte Carlo error estimates.
+
+Both the trials and the pilot paths draw every noise uniform, but apply the
+inverse normal CDF only where a check could fire: a bound on a block's
+margins, taken from its extreme uniforms, shows most blocks far from every
+threshold at small epsilon. Outcomes and streams are those of transforming
+every value (see `_extremes`).
 """
 
 from __future__ import annotations
@@ -32,13 +38,18 @@ __all__ = [
     "calibrate_privsprt",
 ]
 
-# steps per pilot-path extension and in a run's first chunk: PrivSPRT
-# stops about twice as late as the Laplace test at the same epsilon
+# steps per pilot-path extension, in a run's first chunk, and per piece a
+# run checks: PrivSPRT stops about twice as late as the Laplace test at the
+# same epsilon
 _CHUNK = 512
 # pilot paths extended together in one block array; a cap keeps the block
 # small, so calibration's peak memory stays below that of the trials
 _ROWS = 32
 _NEVER = np.iinfo(np.int64).max  # first-crossing step of a threshold never crossed
+# ndtri is monotone only up to rounding: over runs of adjacent doubles it
+# falls by at most about 9e-16 (tests/test_baselines.py fails past 1e-14),
+# so a slack far above that keeps the bounds of `_extremes` conservative
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,9 +126,27 @@ def _gauss(rng, sigma: float, size=None):
     return sigma * ndtri(uniform_open(rng, size))
 
 
+def _extremes(stat, u, sigma2: float):
+    """Bounds, over the last axis, on the noisy statistic of a block whose
+    noise uniforms are `u` (Y1 at even places, Y2 at odd ones): every
+    stat + sigma2*ndtri(u[0::2]) is at most `top`, and every
+    stat + sigma2*ndtri(u[1::2]) at least `bot`, as computed in floating
+    point. Rounding of +, - and * by sigma2 > 0 is monotone, and ndtri is
+    monotone up to _SLACK, so no value of a block lies past its bounds."""
+    top = stat.max(axis=-1) + sigma2 * (ndtri(u[..., 0::2].max(axis=-1)) + _SLACK)
+    bot = stat.min(axis=-1) + sigma2 * (ndtri(u[..., 1::2].min(axis=-1)) - _SLACK)
+    return top, bot
+
+
 class PrivSprtKernel(Kernel):
     """A calibrated PrivSPRT configuration prepared once and run for many
-    trials, with its clamped log-likelihood-ratio increments."""
+    trials, with its clamped log-likelihood-ratio increments.
+
+    Each chunk draws all 2k of its noise uniforms and is then checked in
+    pieces of _CHUNK steps. A piece whose `_extremes` lie inside
+    (-a + Z2, b + Z1) cannot fire: it is left out, and its uniforms are
+    never transformed.
+    """
 
     FIRST_CHUNK = _CHUNK
     DECISIONS = (1, 0)  # the upper check comes first
@@ -131,14 +160,23 @@ class PrivSprtKernel(Kernel):
 
     def _checks(self, chunks, rng_y, rng_z):
         cfg = self.cfg
-        a, b = cfg.thresh_a, cfg.thresh_b
         z1, z2 = _gauss(rng_z, cfg.sigma1, 2)
+        hi, lo = cfg.thresh_b + z1, -cfg.thresh_a + z2
         carry = 0.0
         for n_done, bits in chunks:
             stat = carry + np.cumsum(self._inc[bits])
-            y = _gauss(rng_y, cfg.sigma2, 2 * bits.size)
-            yield n_done, stat + y[0::2] >= b + z1, stat + y[1::2] <= -a + z2, None
             carry = float(stat[-1])
+            if not cfg.sigma2:
+                yield n_done, stat >= hi, stat <= lo, None
+                continue
+            u = uniform_open(rng_y, 2 * bits.size)
+            # pieces of _CHUNK steps (a chunk cut at the horizon is one piece)
+            size = _CHUNK if bits.size % _CHUNK == 0 else bits.size
+            top, bot = _extremes(stat.reshape(-1, size), u.reshape(-1, 2 * size), cfg.sigma2)
+            for i in np.flatnonzero((top >= hi) | (bot <= lo)):
+                s = stat[i * size : (i + 1) * size]
+                y = cfg.sigma2 * ndtri(u[2 * i * size : 2 * (i + 1) * size])
+                yield n_done + i * size, s + y[0::2] >= hi, s + y[1::2] <= lo, None
 
 
 def run_privsprt(cfg: PrivSprtConfig | Trial, observations: Iterable[int]) -> TestOutcome:
@@ -169,7 +207,12 @@ def default_threshold_grid(cfg: PrivSprtConfig, target_alpha: float) -> list[tup
 
 class _Pilots:
     """Pilot paths extended in lockstep: per path the LLR carry, the step
-    count, and the first step at which a margin crossed each grid value."""
+    count, and the first step at which a margin crossed each grid value.
+
+    A block's uniforms are transformed, and its margins searched, only in
+    the rows whose `_extremes` reach the row's next uncrossed value on
+    either side; no other row can record a crossing in that block.
+    """
 
     def __init__(self, cfg: PrivSprtConfig, grid, probs: list[float], tokens: list[int]):
         self._cfg, self._probs = cfg, probs
@@ -215,22 +258,30 @@ class _Pilots:
             bits[i, :k] = self._obs[r].random(k) < self._probs[r]
             if cfg.sigma2:
                 y[i, : 2 * k] = uniform_open(self._y[r], 2 * k)
-        if cfg.sigma2:  # _gauss, in place and in one call for the block
-            np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)
         stat = self._carry[rows, None] + np.cumsum(self._inc[bits], axis=1)
-        # the upper margin stat + Y1 - Z1 reaches b; the lower one, negated, a
-        z = self._z[rows]
-        margins = (stat + y[:, 0::2] - z[:, :1], -(stat + y[:, 1::2] - z[:, 1:]))
-        for levels, first, m in zip(self._levels, self._first, margins):
-            m[np.arange(m.shape[1]) >= got[:, None]] = -np.inf  # past the horizon
-            done = np.count_nonzero(first[rows] != _NEVER, axis=1)
-            reach = np.searchsorted(levels, m.max(axis=1), side="right")
-            for i in np.flatnonzero(reach > done):
-                run = np.maximum.accumulate(m[i])
-                new = np.searchsorted(run, levels[done[i] : reach[i]])
-                first[rows[i], done[i] : reach[i]] = self._n[rows[i]] + 1 + new
         self._carry[rows] = stat[:, -1]  # a row cut at the horizon is never read again
+        n = self._n[rows]  # steps before the block
         self._n[rows] += got
+        z = self._z[rows]
+        done = [np.count_nonzero(first[rows] != _NEVER, axis=1) for first in self._first]
+        if cfg.sigma2:
+            # keep the rows whose bounds reach the next uncrossed value on
+            # either side (+inf once all are crossed); a cut row's padding,
+            # uniforms of 0, only loosens its bounds
+            top, bot = _extremes(stat, y, cfg.sigma2)
+            nxt = [np.append(v, np.inf)[d] for v, d in zip(self._levels, done)]
+            live = (top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1])
+            rows, n, got, stat, y, z, *done = (v[live] for v in (rows, n, got, stat, y, z, *done))
+            np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)  # _gauss, in place, in one call
+        # the upper margin stat + Y1 - Z1 reaches b; the lower one, negated, a
+        margins = (stat + y[:, 0::2] - z[:, :1], -(stat + y[:, 1::2] - z[:, 1:]))
+        for levels, first, d, m in zip(self._levels, self._first, done, margins):
+            m[np.arange(m.shape[1]) >= got[:, None]] = -np.inf  # past the horizon
+            reach = np.searchsorted(levels, m.max(axis=1), side="right")
+            for i in np.flatnonzero(reach > d):
+                run = np.maximum.accumulate(m[i])
+                new = np.searchsorted(run, levels[d[i] : reach[i]])
+                first[rows[i], d[i] : reach[i]] = n[i] + 1 + new
 
 
 def calibrate_privsprt(

@@ -332,9 +332,10 @@ class Kernel:
     of the trial's streams, walks the observations in chunks that double
     from FIRST_CHUNK steps, and halts at the first step where either of the
     test's two checks fires; the first check wins a tie, and DECISIONS gives
-    each check's decision. A subclass's `_checks` yields, per chunk, the
-    steps done before it, where each check fires, and the included counts
-    (None outside the subsampled rule).
+    each check's decision. A subclass's `_checks` yields, in order, per
+    chunk or piece of one, the steps done before it, where each check
+    fires, and the included counts (None outside the subsampled rule); it
+    may leave out a piece where neither check can fire.
     """
 
     FIRST_CHUNK: int

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from dpsprt import baselines
 from dpsprt.baselines import (
+    _NEVER,
+    _SLACK,
     _Pilots,
     CalibrationError,
     CalibrationResult,
@@ -302,6 +305,16 @@ def _assert_each_point_matches_reference(cfg):
         assert got == _outcome(_reference_calibrate, cfg, [point], shared=shared), point
 
 
+def _assert_first_steps_match(pilots, ref):
+    """Every path's first step at or past each grid value, per side, equals
+    the reference path's, for the steps the reference has drawn."""
+    for levels, first, runs in zip(pilots._levels, pilots._first,
+                                   ([p.up for p in ref], [-p.down for p in ref])):
+        for row, run in zip(first, runs):
+            hit = np.searchsorted(run, levels)
+            assert row.tolist() == np.where(hit < run.size, hit + 1, _NEVER).tolist()
+
+
 class TestLockstepCalibration:
     @pytest.mark.parametrize("horizon", [1_000_000, 700])
     @pytest.mark.parametrize("eps", [0.5, 1.0, 5.0])
@@ -348,6 +361,41 @@ class TestLockstepCalibration:
             for path in ref:
                 path.ensure_decided(a, b)
             assert pilots.decisions(a, b).tolist() == [p.decision(a, b) for p in ref], (a, b)
+            _assert_first_steps_match(pilots, ref)
+
+    @pytest.mark.parametrize("cfg", [
+        replace(PrivSprtConfig.from_epsilon(HYP, 1.0), horizon=1200),
+        # steps of 1e-300 cannot move noise of sigma 1, so a block's bound
+        # exceeds its largest margin by the slack alone
+        PrivSprtConfig(HYP, 1.0, 1.0, trunc_a=1e-300, horizon=1200),
+    ], ids=["noisy", "flat"])
+    def test_grid_values_on_reached_margins_match_reference(self, cfg):
+        """Grid values equal to margins a noisy pilot path reaches: its
+        largest upper margin over its first 1024 steps, and its lowest lower
+        one, negated. The block where each is reached then meets its bound
+        with little to spare, and the crossing must still be recorded at
+        that step: a one-sided point decides the path there."""
+        rng = derive(StreamKey(81))  # the pilot tokens of _outcome's calibrations
+        tokens = [int(rng.integers(0, 1 << 63)) for _ in range(80)]
+        path = _RefPilotPath(cfg, HYP.mu0, tokens[0])
+        path.ensure_decided(math.inf, math.inf)  # to the horizon
+        b, a = float(path.up[1023]), float(-path.down[1023])
+        far = 1e9
+        grid = [(far, b), (a, far), (a, b), (2 * a, b), (a, 2 * b), (b, a)]
+        for targets in ((1.0, 1.0), (-1.0, -1.0)):  # stop at the first point, or try all
+            got = _outcome(calibrate_privsprt, cfg, grid, targets, seed=81)
+            assert got == _outcome(_reference_calibrate, cfg, grid, targets, seed=81)
+        probs = [HYP.mu0] * 40 + [HYP.mu1] * 40
+        pilots = _Pilots(cfg, grid, probs, tokens)
+        ref = [_RefPilotPath(cfg, p, t) for p, t in zip(probs, tokens)]
+        for a_, b_ in sorted(grid, key=lambda g: (g[0] + g[1], g[0])):
+            for p in ref:
+                p.ensure_decided(a_, b_)
+            assert pilots.decisions(a_, b_).tolist() == [p.decision(a_, b_) for p in ref]
+            _assert_first_steps_match(pilots, ref)
+        assert (pilots.decisions(far, b)[0], pilots.decisions(a, far)[0]) == (1, 0)
+        at_b = np.searchsorted(pilots._levels[0], b)
+        assert pilots._first[0][0, at_b] == int(np.argmax(path.up >= b)) + 1
 
     # picks at the default grid and 100 pilots, recorded before pilot paths
     # ran in lockstep
@@ -372,3 +420,62 @@ class TestLockstepCalibration:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+# the thresholds calibration picks at eps 0.5 (see test_recorded_picks_hold)
+EPS_HALF = replace(PrivSprtConfig.from_epsilon(HYP, 0.5),
+                   thresh_a=1872.3326709712444, thresh_b=1872.3326709712444)
+
+
+class TestTransformSkip:
+    """Blocks whose bounds stay inside the thresholds are drawn but not
+    transformed; the bounds hold as long as ndtri is monotone to within
+    _SLACK."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Uniforms drawn and values transformed by the inverse normal CDF
+        in the baselines module."""
+        counts = {"drawn": 0, "transformed": 0}
+
+        def counted_uniform_open(rng, size=None):
+            counts["drawn"] += int(np.prod(size)) if size is not None else 1
+            return uniform_open(rng, size)
+
+        def counted_ndtri(x, *args, **kw):
+            counts["transformed"] += np.size(x)
+            return ndtri(x, *args, **kw)
+
+        monkeypatch.setattr(baselines, "uniform_open", counted_uniform_open)
+        monkeypatch.setattr(baselines, "ndtri", counted_ndtri)
+        return counts
+
+    def test_a_long_trial_transforms_under_half_its_draws(self, counts):
+        """At eps 0.5 a trial runs some 5,000 steps, most of them in chunks
+        whose noise cannot reach a threshold of 1872."""
+        kernel = baselines.PrivSprtKernel(EPS_HALF)
+        for seed in range(6):
+            p = HYP.mu1 if seed % 2 else HYP.mu0
+            assert not run_privsprt(kernel.trial(seed), _obs(p, seed)).exhausted
+        assert 0 < counts["transformed"] < counts["drawn"] / 2
+
+    def test_calibration_transforms_under_half_its_draws(self, counts):
+        cal = calibrate_privsprt(PrivSprtConfig.from_epsilon(HYP, 0.5), 0.05, 0.05,
+                                 rng=derive(StreamKey(7)))
+        assert cal.thresh_b == EPS_HALF.thresh_b
+        assert 0 < counts["transformed"] < counts["drawn"] / 2
+
+    def test_ndtri_is_monotone_far_within_the_slack(self):
+        """Over runs of 4001 adjacent doubles around random points, both
+        tails, and the branch points of its rational approximations
+        (exp(-2) and 1 - exp(-2)), ndtri never falls by more than 1e-14,
+        at least 1e5 times less than the slack."""
+        centers = derive(StreamKey(92)).random(40).tolist()
+        centers += [1e-300, 1 - 2**-40, math.exp(-2), 1 - math.exp(-2)]
+        worst = 0.0
+        for c in centers:
+            run = (np.float64(c).view(np.int64) + np.arange(-2000, 2001)).view(np.float64)
+            v = ndtri(run)
+            worst = max(worst, float(np.max(np.maximum.accumulate(v) - v)))
+        assert worst <= 1e-14
+        assert 1e-14 * 1e5 <= _SLACK

@@ -8,9 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from dpsprt import dp_sprt, outside_interval
-from dpsprt.baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
+from dpsprt import baselines, dp_sprt, outside_interval
+from dpsprt.baselines import PrivSprtConfig, PrivSprtKernel, llr_steps, run_privsprt
 from dpsprt.dp_sprt import (
     Classical,
     Gaussian,
@@ -26,7 +27,7 @@ from dpsprt.dp_sprt import (
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import ExperimentPlan, PlannedVariant, bernoulli_stream, run_experiment
 from dpsprt.noise import NoiseSpec
-from dpsprt.rngcore import StreamKey, derive
+from dpsprt.rngcore import StreamKey, Substream, derive, uniform_open
 
 HYP = HypothesisPair.of(0.3, 0.7)
 
@@ -194,6 +195,119 @@ def test_zero_noise_kernel_matches_reference_mechanism(name, monkeypatch):
                 out = run_test(kernel.trial(tag), _obs(p, tag))
                 assert (out.tau, out.decision, out.exhausted) == want
     assert {0, 1} <= decided
+
+
+def _privsprt_z(cfg, seed):
+    """Z1 and Z2 of a PrivSPRT trial, one draw at a time."""
+    rng_z = derive(StreamKey(seed, substream=Substream.NOISE_Z))
+    return [cfg.sigma1 * ndtri(uniform_open(rng_z)) for _ in range(2)]
+
+
+def _privsprt_steps(cfg, seed, observations):
+    """(stat + Y1, stat + Y2) at each step of a PrivSPRT trial, one step at
+    a time: one clamped LLR and then two draws of the Y stream per step, on
+    the streams that `PrivSprtKernel(cfg).trial(seed)` keys."""
+    rng_y = derive(StreamKey(seed, substream=Substream.NOISE_Y))
+    l1, l0 = llr_steps(cfg.hypotheses)
+    stat = 0.0
+    for bit in itertools.islice(observations, cfg.horizon):
+        stat += min(max(l1 if bit else l0, -cfg.trunc_a), cfg.trunc_a)
+        y1, y2 = (cfg.sigma2 * ndtri(uniform_open(rng_y)) for _ in range(2))
+        yield stat + y1, stat + y2
+
+
+def _privsprt_reference(cfg, seed, observations):
+    """(tau, decision, exhausted) of the per-step rule: the upper check
+    stat + Y1 >= b + Z1 first, then stat + Y2 <= -a + Z2."""
+    z1, z2 = _privsprt_z(cfg, seed)
+    hi, lo = cfg.thresh_b + z1, -cfg.thresh_a + z2
+    for n, (up, down) in enumerate(_privsprt_steps(cfg, seed, observations), start=1):
+        if up >= hi:
+            return n, 1, False
+        if down <= lo:
+            return n, 0, False
+    return cfg.horizon, None, True
+
+
+def _noisy_privsprt(eps, horizon, trunc_a, thresh=1e9):
+    cfg = PrivSprtConfig.from_epsilon(HYP, eps, trunc_a=trunc_a, horizon=horizon)
+    return replace(cfg, thresh_a=thresh, thresh_b=thresh)
+
+
+@pytest.mark.parametrize("trunc_a", [0.5, 1.0])
+@pytest.mark.parametrize("horizon", [700, 1500])
+@pytest.mark.parametrize("eps", [0.5, 1.0, 5.0])
+def test_noisy_privsprt_kernel_matches_reference_loop(eps, horizon, trunc_a, monkeypatch):
+    """With noise, the kernel stops where the per-step loop stops, on the
+    same side, also after chunks it passes over without transforming their
+    noise; both horizons cut the second chunk, and the thresholds grow with
+    the seed, so trials decide early, late, or not at all. At A = 1/2 every
+    partial LLR sum is a multiple of 1/2, exact in any order of addition,
+    so the loop's running sum equals the kernel's carry + cumsum bit for
+    bit. At A = 1 the two may round apart; that this changes no outcome
+    here is checked, not guaranteed."""
+    drawn, transformed = [], []
+    monkeypatch.setattr(baselines, "uniform_open",
+                        lambda rng, size: drawn.append(size) or uniform_open(rng, size))
+    monkeypatch.setattr(baselines, "ndtri",
+                        lambda u, *args: transformed.append(np.size(u)) or ndtri(u, *args))
+    seen = set()
+    for seed in range(40):
+        cfg = _noisy_privsprt(eps, horizon, trunc_a, thresh=20.0 * trunc_a * (seed + 1))
+        p = HYP.mu1 if seed % 2 else HYP.mu0
+        out = run_privsprt(PrivSprtKernel(cfg).trial(seed), _obs(p, seed))
+        want = _privsprt_reference(cfg, seed, _obs(p, seed))
+        assert (out.tau, out.decision, out.exhausted) == want, seed
+        seen.add("exhausted" if want[2] else "later" if want[0] > 512 else "first chunk")
+    assert seen == {"first chunk", "later", "exhausted"}
+    assert sum(transformed) < sum(drawn)  # some chunks were passed over
+
+
+def _addend(total, z):
+    """A double t with t + z == total in floating point, or None."""
+    near = (np.float64(total - z).view(np.int64) + np.arange(-8, 9)).view(np.float64)
+    return next((float(t) for t in near if t + z == total), None)
+
+
+def _tie_at_extreme(cfg, side, start, stop):
+    """The config, seed, success probability and outcome of a trial whose
+    check on `side` fires exactly at its most extreme value over steps
+    start+1..stop: the threshold is set so that b + Z1 equals the largest
+    stat + Y1 there (or -a + Z2 the smallest stat + Y2). Takes the first
+    seed whose extreme is first reached in that span and has such a b (or
+    a) among the doubles."""
+    upper = side == "upper"
+    p = HYP.mu1 if upper else HYP.mu0
+    for seed in range(20):
+        values = [v[0 if upper else 1] for v in _privsprt_steps(cfg, seed, _obs(p, seed))]
+        tie = max(values[start:stop]) if upper else min(values[start:stop])
+        n = next(i for i, v in enumerate(values, 1) if (v >= tie if upper else v <= tie))
+        t = _addend(tie, _privsprt_z(cfg, seed)[0 if upper else 1])
+        if n > start and t is not None:
+            cfg = replace(cfg, thresh_b=t) if upper else replace(cfg, thresh_a=-t)
+            return cfg, seed, p, (n, 1 if upper else 0, False)
+    raise AssertionError("no seed puts the extreme in the span")
+
+
+# a statistic of steps of 1e-300 cannot move noise of sigma 1 (stat + Y is
+# Y), so a piece's bound exceeds its largest value by the slack alone
+FLAT_PRIVSPRT = PrivSprtConfig(HYP, 1.0, 1.0, trunc_a=1e-300, thresh_a=1e9, thresh_b=1e9,
+                               horizon=1500)
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["noisy", "flat"])
+@pytest.mark.parametrize("span", [(0, 512), (512, 1536)], ids=["chunk1", "chunk2"])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_privsprt_threshold_on_a_reached_value_matches_reference(side, span, flat):
+    """A threshold on a value the trial reaches, the extreme of a chunk:
+    the bound of the piece holding that step then meets the threshold with
+    little to spare (with the slack alone when the statistic is flat), and
+    the check must fire at that very step."""
+    cfg = FLAT_PRIVSPRT if flat else _noisy_privsprt(1.0, 1500, 0.5)
+    cfg, seed, p, want = _tie_at_extreme(cfg, side, *span)
+    assert _privsprt_reference(cfg, seed, _obs(p, seed)) == want
+    out = run_privsprt(PrivSprtKernel(cfg).trial(seed), _obs(p, seed))
+    assert (out.tau, out.decision, out.exhausted) == want
 
 
 @pytest.mark.parametrize("name", ["classical", "laplace", "gaussian", "laplace_sub"])
