@@ -7,6 +7,7 @@ is the price paid in extra samples.
 """
 
 from dpsprt import (
+    BitStream,
     Classical,
     Gaussian,
     HypothesisPair,
@@ -14,7 +15,6 @@ from dpsprt import (
     LaplaceSub,
     StreamKey,
     TestConfig,
-    bernoulli_stream,
     default_gamma,
     default_subsample_rate,
     derive,
@@ -50,7 +50,7 @@ for name, cfg in variants.items():
     cfg = TestConfig(
         hyp, alpha, beta, cfg.variant, gamma=cfg.gamma, seed=99,
     )
-    obs = bernoulli_stream(0.7, derive(StreamKey(8, 0, 0)))
+    obs = BitStream(0.7, derive(StreamKey(8, 0, 0)))
     out = run_test(cfg, obs)
     extra = f", included {out.included_count}" if out.included_count is not None else ""
     print(f"  {name:>10}: tau = {out.tau:>5}, decision = H{out.decision}{extra}")

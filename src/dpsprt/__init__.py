@@ -7,7 +7,6 @@ baseline, and a seeded Monte Carlo experiment harness with a CLI front end.
 """
 
 from .exp_family import (
-    BernoulliParam,
     HypothesisPair,
     kl_bernoulli,
     kl_exponential_form,
@@ -22,7 +21,6 @@ from .noise import (
     NoiseSpec,
     correction,
     density_ratio_bound_check,
-    laplace_tail,
     riemann_zeta,
     sample_y,
     sample_z,
@@ -77,10 +75,10 @@ from .baselines import (
 )
 from .harness import (
     BatchStats,
+    BitStream,
     ExperimentPlan,
     ExperimentResult,
     PlannedVariant,
-    bernoulli_stream,
     run_experiment,
     write_summary_csv,
     write_trials_csv,

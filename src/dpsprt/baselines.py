@@ -31,7 +31,6 @@ __all__ = [
     "CalibrationError",
     "CalibrationResult",
     "llr_steps",
-    "truncated_llr_path",
     "PrivSprtKernel",
     "run_privsprt",
     "default_threshold_grid",
@@ -112,18 +111,11 @@ def llr_steps(hyp: HypothesisPair) -> tuple[float, float]:
     return l1, l0
 
 
-def truncated_llr_path(hyp: HypothesisPair, bits, trunc_a: float) -> np.ndarray:
-    """Cumulative sum of per-observation log-likelihood ratios clamped to
-    [-trunc_a, trunc_a]; the raw PrivSPRT statistic over a bit array."""
-    l1, l0 = llr_steps(hyp)
-    inc = np.clip(np.where(np.asarray(bits) == 1, l1, l0), -trunc_a, trunc_a)
-    return np.cumsum(inc)
-
-
-def _gauss(rng, sigma: float, size=None):
-    if sigma == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    return sigma * ndtri(uniform_open(rng, size))
+def _clamped_llr(cfg: PrivSprtConfig) -> np.ndarray:
+    """The log-likelihood ratios of a 0 bit and a 1 bit, clamped to
+    [-A, A]: a bit indexes its increment of the PrivSPRT statistic."""
+    l1, l0 = llr_steps(cfg.hypotheses)
+    return np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
 
 
 def _extremes(stat, u, sigma2: float):
@@ -155,12 +147,11 @@ class PrivSprtKernel(Kernel):
         if cfg.thresh_a is None or cfg.thresh_b is None:
             raise ValueError("thresholds are not calibrated; run calibrate_privsprt first")
         super().__init__(cfg, 2)
-        l1, l0 = llr_steps(cfg.hypotheses)
-        self._inc = np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
+        self._inc = _clamped_llr(cfg)
 
     def _checks(self, chunks, rng_y, rng_z):
         cfg = self.cfg
-        z1, z2 = _gauss(rng_z, cfg.sigma1, 2)
+        z1, z2 = cfg.sigma1 * ndtri(uniform_open(rng_z, 2))
         hi, lo = cfg.thresh_b + z1, -cfg.thresh_a + z2
         carry = 0.0
         for n_done, bits in chunks:
@@ -219,9 +210,8 @@ class _Pilots:
         self._obs, self._y, rngs_z = (
             [derive(StreamKey(t, substream=s)) for t in tokens]
             for s in (Substream.OBS, Substream.NOISE_Y, Substream.NOISE_Z))
-        self._z = np.array([_gauss(rng, cfg.sigma1, 2) for rng in rngs_z])
-        l1, l0 = llr_steps(cfg.hypotheses)
-        self._inc = np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
+        self._z = np.array([cfg.sigma1 * ndtri(uniform_open(rng, 2)) for rng in rngs_z])
+        self._inc = _clamped_llr(cfg)
         self._carry = np.zeros(len(tokens))
         self._n = np.zeros(len(tokens), dtype=np.int64)
         # sorted distinct b and a values; the crossed ones form a prefix
@@ -272,7 +262,7 @@ class _Pilots:
             nxt = [np.append(v, np.inf)[d] for v, d in zip(self._levels, done)]
             live = (top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1])
             rows, n, got, stat, y, z, *done = (v[live] for v in (rows, n, got, stat, y, z, *done))
-            np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)  # _gauss, in place, in one call
+            np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)  # in place, in one call
         # the upper margin stat + Y1 - Z1 reaches b; the lower one, negated, a
         margins = (stat + y[:, 0::2] - z[:, :1], -(stat + y[:, 1::2] - z[:, 1:]))
         for levels, first, d, m in zip(self._levels, self._first, done, margins):

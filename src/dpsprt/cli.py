@@ -237,9 +237,10 @@ def _parse(opts: dict[str, str]) -> dict:
 
 def _run_grid(v, truths, workers):
     """Build the (variant family) x (epsilon grid) cells, each id once,
-    calibrate the PrivSPRT cells, and run the grid under each truth. Also
-    returns the manifest's record of the run: each PrivSPRT cell's
-    calibration, and a warning when kappa < 1, which is printed too."""
+    calibrate the PrivSPRT cells (a CalibrationError names the cell that
+    failed), and run the grid under each truth. Also returns the
+    manifest's record of the run: each PrivSPRT cell's calibration, and a
+    warning when kappa < 1, which is printed too."""
     hyp = HypothesisPair.of(v["p0"], v["p1"])
     alpha, beta, gamma, horizon = v["alpha"], v["beta"], v["gamma"], v["horizon"]
     params = CorrectionParams(s=v["s"], kappa=v["kappa"])
@@ -274,8 +275,11 @@ def _run_grid(v, truths, workers):
     for i, cell in enumerate(cells):
         if isinstance(cell.config, PrivSprtConfig):
             rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
-            cal = calibrate_privsprt(cell.config, alpha, beta, pilot_trials=v["privsprt_pilot"],
-                                     rng=rng)
+            try:
+                cal = calibrate_privsprt(cell.config, alpha, beta,
+                                         pilot_trials=v["privsprt_pilot"], rng=rng)
+            except CalibrationError as exc:
+                raise CalibrationError(f"{cell.variant_id}: {exc}") from None
             calibration[cell.variant_id] = asdict(cal)
             cfg = replace(cell.config, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
             cells[i] = replace(cell, config=cfg)

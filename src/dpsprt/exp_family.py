@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "BernoulliParam",
     "HypothesisPair",
     "natural_param",
     "mean_from_natural",
@@ -83,63 +82,37 @@ def tv_bernoulli(p: float, q: float) -> float:
 
 
 @dataclass(frozen=True)
-class BernoulliParam:
-    """A Bernoulli law carrying both its mean and natural parameter."""
-
-    p: float
-    theta: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", natural_param(self.p))
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "BernoulliParam":
-        return cls(mean_from_natural(theta))
-
-
-@dataclass(frozen=True)
 class HypothesisPair:
-    """Two ordered Bernoulli hypotheses with their derived divergences.
+    """Two ordered Bernoulli hypotheses with their natural parameters and
+    derived divergences.
 
-    Requires h0.p < h1.p, hence theta0 < theta1.
+    Requires mu0 < mu1, hence theta0 < theta1.
     """
 
-    h0: BernoulliParam
-    h1: BernoulliParam
+    mu0: float
+    mu1: float
+    theta0: float = field(init=False)
+    theta1: float = field(init=False)
     kl01: float = field(init=False)
     kl10: float = field(init=False)
     tv: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.h0.p < self.h1.p:
+        object.__setattr__(self, "theta0", natural_param(self.mu0))
+        object.__setattr__(self, "theta1", natural_param(self.mu1))
+        if not self.mu0 < self.mu1:
             raise ValueError(
-                f"hypotheses must be ordered h0.p < h1.p, got {self.h0.p} >= {self.h1.p}"
+                f"hypotheses must be ordered h0.p < h1.p, got {self.mu0} >= {self.mu1}"
             )
-        object.__setattr__(self, "kl01", kl_bernoulli(self.h0.p, self.h1.p))
-        object.__setattr__(self, "kl10", kl_bernoulli(self.h1.p, self.h0.p))
-        object.__setattr__(self, "tv", tv_bernoulli(self.h0.p, self.h1.p))
+        object.__setattr__(self, "kl01", kl_bernoulli(self.mu0, self.mu1))
+        object.__setattr__(self, "kl10", kl_bernoulli(self.mu1, self.mu0))
+        object.__setattr__(self, "tv", tv_bernoulli(self.mu0, self.mu1))
 
     @classmethod
     def of(cls, p0: float, p1: float) -> "HypothesisPair":
-        return cls(BernoulliParam(p0), BernoulliParam(p1))
-
-    @property
-    def mu0(self) -> float:
-        return self.h0.p
-
-    @property
-    def mu1(self) -> float:
-        return self.h1.p
-
-    @property
-    def theta0(self) -> float:
-        return self.h0.theta
-
-    @property
-    def theta1(self) -> float:
-        return self.h1.theta
+        return cls(p0, p1)
 
     @property
     def dtheta(self) -> float:
         """Gap theta1 - theta0, always positive."""
-        return self.h1.theta - self.h0.theta
+        return self.theta1 - self.theta0

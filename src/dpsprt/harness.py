@@ -26,7 +26,6 @@ from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64, mix64_array
 
 __all__ = [
     "BitStream",
-    "bernoulli_stream",
     "PlannedVariant",
     "ExperimentPlan",
     "TrialRecord",
@@ -72,11 +71,6 @@ class BitStream:
 
     def __next__(self) -> int:
         return int(self.take(1)[0])
-
-
-def bernoulli_stream(p: float, rng: np.random.Generator) -> BitStream:
-    """Infinite bit stream with Pr(1) = p, deterministic per generator."""
-    return BitStream(p, rng)
 
 
 AnyConfig = Union[TestConfig, PrivSprtConfig]
@@ -148,7 +142,7 @@ def _run_block(args) -> list[TrialRecord]:
     seeds = _trial_seeds(master_seed, vid, np.arange(start, stop, dtype=np.uint64))
     records = []
     for trial, token, prepared in zip(range(start, stop), seeds.tolist(), kernel.trials(seeds)):
-        obs = bernoulli_stream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
+        obs = BitStream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
         out = run(prepared, obs)
         records.append(TrialRecord(trial, out.tau, out.decision, out.exhausted, token))
     return records

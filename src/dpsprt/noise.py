@@ -1,4 +1,4 @@
-"""Noise samplers, tail bounds, and threshold-widening corrections.
+"""Noise samplers and threshold-widening corrections.
 
 The private tests add a per-step query noise Y and a one-shot threshold
 noise Z, then widen the stopping thresholds by a deterministic correction
@@ -13,7 +13,7 @@ determines the draws, independent of platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,8 +28,6 @@ __all__ = [
     "riemann_zeta",
     "sample_y",
     "sample_z",
-    "laplace_tail",
-    "gaussian_tail_bound",
     "correction",
     "correction_vec",
     "density_ratio_bound_check",
@@ -98,25 +96,21 @@ class CorrectionParams:
     The per-step tail budget is delta/(n^s * zeta(s)); s > 1 makes the
     budgets summable with total delta. kappa rescales C; any kappa < 1
     voids the formal correctness guarantee and is flagged in outputs.
-    `delta_factor` is the constant multiplying delta inside the logarithm;
-    left unset it takes the per-family default (1 for Laplace, 2 for
-    Gaussian).
+    zeta_s is derived from s, also in a copy made by `dataclasses.replace`.
     """
 
     s: float = 2.0
-    zeta_s: float | None = None
     epsilon: float | None = None
     sigma_sum_sq: float | None = None
     kappa: float = 1.0
-    delta_factor: float | None = None
+    zeta_s: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.s <= 1.0:
             raise ValueError("zeta exponent s must exceed 1")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must lie in (0, 1]")
-        if self.zeta_s is None:
-            object.__setattr__(self, "zeta_s", riemann_zeta(self.s))
+        object.__setattr__(self, "zeta_s", riemann_zeta(self.s))
 
 
 def _laplace_from_uniform(u, scale):
@@ -147,24 +141,6 @@ def sample_z(spec: NoiseSpec, rng, size=None):
     return _draw(spec.family, spec.scale_z, rng, size)
 
 
-def laplace_tail(b: float, t: float) -> float:
-    """P(X >= t) = 0.5 * exp(-t/b) for X ~ Laplace(b), t >= 0."""
-    if b <= 0.0:
-        raise ValueError("Laplace scale must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return 0.5 * math.exp(-t / b)
-
-
-def gaussian_tail_bound(sigma: float, t: float) -> float:
-    """Chernoff bound exp(-t^2 / (2 sigma^2)) on P(X >= t), X ~ N(0, sigma^2)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return math.exp(-t * t / (2.0 * sigma * sigma))
-
-
 def correction_vec(
     params: CorrectionParams,
     family: NoiseFamily,
@@ -179,9 +155,7 @@ def correction_vec(
         raise ValueError("delta must lie in (0,1)")
     if family is NoiseFamily.ZERO:
         return np.zeros_like(n)
-    factor = params.delta_factor
-    if factor is None:
-        factor = 1.0 if family is NoiseFamily.LAPLACE else 2.0
+    factor = 1.0 if family is NoiseFamily.LAPLACE else 2.0
     log_arg = params.s * np.log(n) + math.log(params.zeta_s) - math.log(factor * delta)
     if np.any(log_arg <= 0.0):
         # zeta(s) > 1 and delta < 1 make the argument > 1 for n >= 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dp_sprt import TestConfig, TestKernel, run_test
-from .harness import bernoulli_stream
+from .harness import BitStream
 from .rngcore import StreamKey, Substream, derive
 
 __all__ = [
@@ -52,18 +52,17 @@ def laplace_budget(
     *,
     scale_y: float | None = None,
     scale_z: float | None = None,
-    sensitivity: float = 1.0,
 ) -> PureDP:
     """Pure DP budget of a Laplace run.
 
     With the default scales (Y at 4/eps covering sensitivity 2, Z at 2/eps
     covering sensitivity 1) the budget is exactly the configured epsilon.
-    Explicit scales instead give sensitivity/scale_z + 2*sensitivity/scale_y.
+    Explicit scales instead give 1/scale_z + 2/scale_y.
     """
     if scale_y is not None or scale_z is not None:
         if scale_y is None or scale_z is None or scale_y <= 0.0 or scale_z <= 0.0:
             raise ValueError("both noise scales must be given and positive")
-        return PureDP(sensitivity / scale_z + 2.0 * sensitivity / scale_y)
+        return PureDP(1.0 / scale_z + 2.0 / scale_y)
     if epsilon is None or epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     return PureDP(epsilon)
@@ -123,9 +122,6 @@ class TauSqEstimate:
     n_pilot: int
     source: str = "pilot"
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
     """Monte Carlo estimate of E[tau^2] under the worst of the two
@@ -144,7 +140,7 @@ def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
         sq_sumsq = 0.0
         tokens = [int(rng.integers(0, 1 << 63)) for _ in range(n_pilot)]
         for token, trial in zip(tokens, kernel.trials(tokens)):
-            obs = bernoulli_stream(p, derive(StreamKey(token, substream=Substream.PILOT)))
+            obs = BitStream(p, derive(StreamKey(token, substream=Substream.PILOT)))
             out = run_test(trial, obs)
             if out.exhausted:
                 reliable = False

@@ -21,11 +21,10 @@ from dpsprt.baselines import (
     default_threshold_grid,
     llr_steps,
     run_privsprt,
-    truncated_llr_path,
 )
 from dpsprt.dp_sprt import Classical, TestConfig, gaussian_scales, run_test
 from dpsprt.exp_family import HypothesisPair, log_partition
-from dpsprt.harness import bernoulli_stream
+from dpsprt.harness import BitStream
 from dpsprt.rngcore import StreamKey, Substream, derive, uniform_open
 
 HYP = HypothesisPair.of(0.3, 0.7)
@@ -37,7 +36,7 @@ def _zero_noise(a=None, b=None, trunc_a=50.0):
 
 
 def _obs(p, tag):
-    return bernoulli_stream(p, derive(StreamKey(606, 0, tag)))
+    return BitStream(p, derive(StreamKey(606, 0, tag)))
 
 
 class TestConfigDefaults:
@@ -80,7 +79,7 @@ class TestStatistic:
         """Untruncated statistic equals dtheta * sum(X) - n * (b1 - b0)."""
         rng = np.random.default_rng(3)
         bits = (rng.random(400) < 0.5).astype(int)
-        path = truncated_llr_path(HYP, bits, trunc_a=50.0)
+        path = np.cumsum(np.where(bits == 1, *llr_steps(HYP)))
         n = np.arange(1, 401)
         want = HYP.dtheta * np.cumsum(bits) - n * (
             log_partition(HYP.theta1) - log_partition(HYP.theta0)
@@ -88,9 +87,13 @@ class TestStatistic:
         assert np.max(np.abs(path - want)) < 1e-10
 
     def test_truncation_clamps(self):
+        """At (0.01, 0.99) a step's ratio, +-log(99) = +-4.6, is clamped to
+        +-1: over 1, 1, 0, 0, 0, 0 the statistic runs 1, 2, 1, 0, -1, -2."""
         wide = HypothesisPair.of(0.01, 0.99)
-        path = truncated_llr_path(wide, [1, 1, 0], trunc_a=1.0)
-        assert np.allclose(path, [1.0, 2.0, 1.0])
+        bits = [1, 1, 0, 0, 0, 0]
+        for a, b, want in ((50.0, 1.5, (2, 1)), (1.5, 2.5, (6, 0))):
+            out = run_privsprt(PrivSprtConfig(wide, 0.0, 0.0, 1.0, a, b), iter(bits))
+            assert (out.tau, out.decision) == want
 
 
 class TestZeroNoiseRuns:
@@ -218,9 +221,9 @@ class _RefPilotPath:
                 return False
             got = min(512, self._cfg.horizon - self._n)
             bits = self._rng_obs.random(got) < self._p
-            stat = self._carry + truncated_llr_path(
-                self._cfg.hypotheses, bits, self._cfg.trunc_a
-            )
+            l1, l0 = llr_steps(self._cfg.hypotheses)
+            inc = np.clip(np.where(bits, l1, l0), -self._cfg.trunc_a, self._cfg.trunc_a)
+            stat = self._carry + np.cumsum(inc)
             y = _ref_gauss(self._rng_y, self._cfg.sigma2, 2 * got)
             up_prev = self.up[-1] if self.up.size else -math.inf
             dn_prev = self.down[-1] if self.down.size else math.inf

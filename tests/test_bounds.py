@@ -18,7 +18,7 @@ from dpsprt.bounds import (
 )
 from dpsprt.dp_sprt import Classical, TestConfig, run_test
 from dpsprt.exp_family import HypothesisPair, kl_bernoulli
-from dpsprt.harness import bernoulli_stream
+from dpsprt.harness import BitStream
 from dpsprt.noise import CorrectionParams, NoiseFamily, correction, riemann_zeta
 from dpsprt.rngcore import StreamKey, derive
 
@@ -99,7 +99,7 @@ class TestUpperBound:
         cfg = TestConfig(HYP, 0.05, 0.05, Classical())
         taus = []
         for t in range(300):
-            obs = bernoulli_stream(0.3, derive(StreamKey(1280, 0, t)))
+            obs = BitStream(0.3, derive(StreamKey(1280, 0, t)))
             taus.append(run_test(cfg, obs).tau)
         assert np.mean(taus) <= bound
 

@@ -348,7 +348,8 @@ class TestCompare:
                    "--horizon", "5", "--privsprt-pilot", "20",
                    "--out", str(tmp_path / "x"), "--workers", "1"])
         assert rc == EXIT_INFEASIBLE
-        assert "calibration failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "calibration failed: privsprt@eps=1: no feasible grid point" in err
         assert not (tmp_path / "x").exists()  # no partial results
 
 

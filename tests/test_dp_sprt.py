@@ -22,7 +22,7 @@ from dpsprt.dp_sprt import (
     threshold_upper,
 )
 from dpsprt.exp_family import HypothesisPair
-from dpsprt.harness import bernoulli_stream
+from dpsprt.harness import BitStream
 from dpsprt.noise import NoiseFamily, NoiseSpec, sample_z
 from dpsprt.outside_interval import StreamExhaustedError
 from dpsprt.rngcore import StreamKey, Substream, derive
@@ -36,7 +36,7 @@ def _classical(alpha=0.05, beta=0.05, **kw):
 
 
 def _obs(p, tag):
-    return bernoulli_stream(p, derive(StreamKey(404, 0, tag)))
+    return BitStream(p, derive(StreamKey(404, 0, tag)))
 
 
 class TestDefaults:

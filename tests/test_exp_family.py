@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dpsprt.exp_family import (
-    BernoulliParam,
     HypothesisPair,
     kl_bernoulli,
     kl_exponential_form,
@@ -158,26 +157,25 @@ class TestTv:
 
 
 class TestDomainTypes:
-    def test_bernoulli_param_consistency(self):
-        bp = BernoulliParam(0.3)
-        assert bp.theta == pytest.approx(NAT_03, rel=1e-14)
-        assert mean_from_natural(bp.theta) == pytest.approx(0.3, rel=1e-12)
-        assert BernoulliParam.from_theta(bp.theta).p == pytest.approx(0.3, rel=1e-12)
-
-    def test_bernoulli_param_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            BernoulliParam(1.0)
+    def test_pair_rejects_boundary(self):
+        with pytest.raises(ValueError, match="open interval"):
+            HypothesisPair.of(0.3, 1.0)
+        with pytest.raises(ValueError, match="open interval"):
+            HypothesisPair.of(0.0, 0.7)
+        with pytest.raises(ValueError, match="open interval"):
+            HypothesisPair.of(1.0, 0.3)  # the boundary is checked before the order
 
     def test_pair_invariants(self):
         hyp = HypothesisPair.of(0.3, 0.7)
-        assert hyp.theta0 < hyp.theta1
+        assert hyp.theta0 == pytest.approx(NAT_03, rel=1e-14)
+        assert hyp.theta1 == pytest.approx(-NAT_03, rel=1e-14)
         assert hyp.tv == pytest.approx(hyp.mu1 - hyp.mu0)
         assert hyp.kl01 > 0 and hyp.kl10 > 0
         assert hyp.kl01 == pytest.approx(KL_03_07, rel=1e-13)
         assert hyp.dtheta == pytest.approx(2 * abs(NAT_03), rel=1e-13)
 
     def test_pair_rejects_unordered(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ordered"):
             HypothesisPair.of(0.7, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ordered"):
             HypothesisPair.of(0.5, 0.5)

@@ -11,13 +11,13 @@ from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
+    BitStream,
     ExperimentPlan,
     PlannedVariant,
     _aggregate,
     _nearest_rank,
     _trial_seeds,
     TrialRecord,
-    bernoulli_stream,
     run_experiment,
     write_summary_csv,
     write_trials_csv,
@@ -48,16 +48,16 @@ def _classical_variant(vid="classical", eps=None):
 
 class TestBitStream:
     def test_mean_within_binomial_band(self):
-        bits = bernoulli_stream(0.5, derive(StreamKey(1))).take(10**6)
+        bits = BitStream(0.5, derive(StreamKey(1))).take(10**6)
         assert abs(bits.mean() - 0.5) < 0.0016
 
     def test_extreme_p_is_all_ones(self):
-        bits = bernoulli_stream(1 - 1e-15, derive(StreamKey(2))).take(100)
+        bits = BitStream(1 - 1e-15, derive(StreamKey(2))).take(100)
         assert bits.sum() == 100
 
     def test_deterministic_and_chunk_invariant(self):
-        a = bernoulli_stream(0.3, derive(StreamKey(3))).take(1000)
-        s = bernoulli_stream(0.3, derive(StreamKey(3)))
+        a = BitStream(0.3, derive(StreamKey(3))).take(1000)
+        s = BitStream(0.3, derive(StreamKey(3)))
         b = np.array([next(s) for _ in range(1000)])
         assert np.array_equal(a, b)
 
@@ -68,20 +68,20 @@ class TestBitStream:
         the generator's next draw is the (k+1)-th draw of a fresh generator
         on the same key: no bit is drawn ahead."""
         rng = derive(StreamKey(6))
-        stream = bernoulli_stream(0.4, rng)
+        stream = BitStream(0.4, rng)
         for k in sizes:
             stream.take(k)
         k = sum(sizes)
         assert rng.random() == derive(StreamKey(6)).random(k + 1)[k]
 
     def test_distinct_trials_differ(self):
-        a = bernoulli_stream(0.5, derive(StreamKey(4, 0, 0))).take(1000)
-        b = bernoulli_stream(0.5, derive(StreamKey(4, 0, 1))).take(1000)
+        a = BitStream(0.5, derive(StreamKey(4, 0, 0))).take(1000)
+        b = BitStream(0.5, derive(StreamKey(4, 0, 1))).take(1000)
         assert not np.array_equal(a, b)
 
     def test_rejects_boundary_p(self):
         with pytest.raises(ValueError):
-            bernoulli_stream(0.0, derive(StreamKey(5)))
+            BitStream(0.0, derive(StreamKey(5)))
 
 
 class TestAggregation:

@@ -25,7 +25,7 @@ from dpsprt.dp_sprt import (
     threshold_upper,
 )
 from dpsprt.exp_family import HypothesisPair
-from dpsprt.harness import ExperimentPlan, PlannedVariant, bernoulli_stream, run_experiment
+from dpsprt.harness import BitStream, ExperimentPlan, PlannedVariant, run_experiment
 from dpsprt.noise import NoiseSpec
 from dpsprt.rngcore import StreamKey, Substream, derive, uniform_open
 
@@ -46,7 +46,7 @@ def _configs(eps):
 
 
 def _obs(p, tag):
-    return bernoulli_stream(p, derive(StreamKey(505, 0, tag)))
+    return BitStream(p, derive(StreamKey(505, 0, tag)))
 
 
 def _prepared(cfg):

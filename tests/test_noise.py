@@ -1,6 +1,7 @@
 """Noise samplers, corrections, and tail behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from dpsprt.noise import (
     correction,
     correction_vec,
     density_ratio_bound_check,
-    gaussian_tail_bound,
-    laplace_tail,
     riemann_zeta,
     sample_y,
     sample_z,
@@ -70,6 +69,11 @@ class TestSpecs:
             CorrectionParams(kappa=1.5)
         assert CorrectionParams().zeta_s == pytest.approx(ZETA2, abs=1e-10)
 
+    def test_zeta_follows_s_through_replace(self):
+        """A copy with another s carries that s's zeta, not the original's:
+        a stale zeta(3) would narrow the correction below its guarantee."""
+        assert replace(CorrectionParams(s=3.0, epsilon=1.0), s=2.0).zeta_s == riemann_zeta(2.0)
+
 
 class TestSamplers:
     def test_laplace_moments(self):
@@ -104,12 +108,15 @@ class TestSamplers:
         assert np.array_equal(a, b)
 
     def test_tail_bounds_dominate_empirical_tails(self):
+        """Laplace(b): P(X >= t) = exp(-t/b)/2; N(0, b^2): the Chernoff
+        bound exp(-t^2/(2 b^2))."""
         n = 10**6
         b = 2.0
         lap = sample_y(NoiseSpec(NoiseFamily.LAPLACE, b, b), _rng(7), n)
         gau = sample_y(NoiseSpec.gaussian(b, b), _rng(8), n)
         for t in (0.5, 2.0, 5.0, 9.0):
-            for sample, bound in ((lap, laplace_tail(b, t)), (gau, gaussian_tail_bound(b, t))):
+            bounds = (0.5 * math.exp(-t / b), math.exp(-t * t / (2 * b * b)))
+            for sample, bound in zip((lap, gau), bounds):
                 hat = np.mean(sample >= t)
                 se = math.sqrt(max(hat * (1 - hat), 1e-12) / n)
                 assert hat <= bound + 3 * se
@@ -135,21 +142,6 @@ def test_top_uniform_gives_finite_noise(spec):
     assert np.all(np.isfinite(sample_y(spec, _TopRng(), 4)))
 
 
-class TestTailFormulas:
-    def test_laplace_tail_values(self):
-        assert laplace_tail(1.0, 0.0) == 0.5
-        assert laplace_tail(4.0, 4 * math.log(20)) == pytest.approx(0.025, rel=1e-12)
-        assert laplace_tail(2.0, 2 * math.log(10)) == pytest.approx(0.05, rel=1e-12)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            laplace_tail(0.0, 1.0)
-        with pytest.raises(ValueError):
-            laplace_tail(1.0, -1.0)
-        with pytest.raises(ValueError):
-            gaussian_tail_bound(-1.0, 1.0)
-
-
 class TestCorrection:
     def test_laplace_frozen_value(self):
         params = CorrectionParams(s=2.0, epsilon=1.0)
@@ -172,15 +164,6 @@ class TestCorrection:
         assert correction(half, NoiseFamily.LAPLACE, 7, 0.05) == pytest.approx(
             0.5 * correction(base, NoiseFamily.LAPLACE, 7, 0.05), rel=1e-14
         )
-
-    def test_delta_factor_override(self):
-        base = CorrectionParams(s=2.0, epsilon=1.0)
-        two = CorrectionParams(s=2.0, epsilon=1.0, delta_factor=2.0)
-        n = np.array([4.0])
-        got = correction_vec(two, NoiseFamily.LAPLACE, n, 0.05)[0]
-        want = 6 * (2 * math.log(4) + math.log(ZETA2) - math.log(0.1))
-        assert got == pytest.approx(want / 4, rel=1e-12)
-        assert got < correction_vec(base, NoiseFamily.LAPLACE, n, 0.05)[0]
 
     def test_decreasing_in_n_from_three(self):
         n = np.arange(3, 2000, dtype=np.float64)
