@@ -140,7 +140,6 @@ class PrivSprtKernel(Kernel):
     never transformed.
     """
 
-    FIRST_CHUNK = _CHUNK
     DECISIONS = (1, 0)  # the upper check comes first
 
     def __init__(self, cfg: PrivSprtConfig):
@@ -148,6 +147,9 @@ class PrivSprtKernel(Kernel):
             raise ValueError("thresholds are not calibrated; run calibrate_privsprt first")
         super().__init__(cfg, 2)
         self._inc = _clamped_llr(cfg)
+
+    def _first_chunk(self) -> int:
+        return _CHUNK
 
     def _checks(self, chunks, rng_y, rng_z):
         cfg = self.cfg

@@ -258,9 +258,12 @@ def _run_grid(v, truths, workers):
                                  correction=params, horizon=horizon)
             elif name == "gaussian":
                 sy, sz = gaussian_scales(eps, v["delta"])
-                if not sy**2 + sz**2 > 0.0:  # the correction needs a positive variance
-                    raise ConfigError(f"key 'eps': {eps:g} is too large for the gaussian "
-                                      "variant: its noise variance underflows to 0")
+                var = sy * sy + sz * sz  # the correction needs it positive and finite
+                if not 0.0 < var < math.inf:
+                    how = "large" if var == 0.0 else "small"
+                    fate = "underflows to 0" if var == 0.0 else "overflows"
+                    raise ConfigError(f"key 'eps': {eps:g} is too {how} for the gaussian "
+                                      f"variant: its noise variance {fate}")
                 g = gamma if gamma is not None else default_gamma(eps)
                 cfg = TestConfig(hyp, alpha, beta, Gaussian(sy, sz), gamma=g,
                                  correction=params, horizon=horizon)

@@ -17,8 +17,9 @@ by r, with unchanged Laplace scales; a step with M_n = 0 compares nothing.
 
 All variants, and the PrivSPRT baseline, run in one chunked first-exit
 loop, `Kernel.run`. A kernel is prepared once per configuration and reused
-across trials; `run_test` on a bare configuration prepares one for a single
-trial.
+across trials, and `TestKernel` sizes a trial's first chunk from the
+stopping times of the trials it has run; `run_test` on a bare configuration
+prepares one for a single trial.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ __all__ = [
 ]
 
 _CHUNK_START = 128
-# larger chunks overshoot the stopping time by more, and their noise
-# arrays stop fitting in the CPU cache
+# chunks double up to this cap: larger chunks overshoot the stopping time by
+# more, and their noise arrays stop fitting in the CPU cache. A TestKernel's
+# learned first chunk may pass it, up to 8 caps.
 _CHUNK_CAP = 4096
 
 
@@ -174,7 +176,12 @@ class TestOutcome:
 
 
 class BitReader:
-    """Chunked access to a stream of bits with value validation."""
+    """Chunked access to a stream of bits with value validation.
+
+    A source with a `take(k)` method hands over up to k bits at once; a bool
+    array from it, such as `BitStream.take` returns, is 0/1 by construction
+    and skips the value check. Any other values are checked.
+    """
 
     def __init__(self, source: Iterable[int]):
         self._take = getattr(source, "take", None)
@@ -183,6 +190,8 @@ class BitReader:
     def take(self, k: int) -> np.ndarray:
         if self._take is not None:
             bits = np.asarray(self._take(k))
+            if bits.dtype == np.bool_:
+                return bits.astype(np.int64)
         else:
             bits = np.fromiter(itertools.islice(self._it, k), dtype=np.float64, count=-1)
         if bits.size and not np.all((bits == 0) | (bits == 1)):
@@ -192,8 +201,8 @@ class BitReader:
 
     def chunks(self, horizon: int, first: int = _CHUNK_START):
         """Yield (steps done before the chunk, its bits) over chunks that
-        double from `first` bits up to 4096, until `horizon` bits have been
-        read.
+        double from `first` bits up to _CHUNK_CAP (4096), until `horizon`
+        bits have been read. Only `first` may exceed the cap.
 
         Raises StreamExhaustedError if the stream ends before the horizon.
         """
@@ -329,16 +338,16 @@ class Kernel:
     It keys only the noise roles it reads, the first `roles` of
     `rngcore.NOISE_ROLES`, for a block of seeds (`trials`) or one (`trial`).
     A run resets the kernel's noise generators, one per role, to the start
-    of the trial's streams, walks the observations in chunks that double
-    from FIRST_CHUNK steps, and halts at the first step where either of the
-    test's two checks fires; the first check wins a tie, and DECISIONS gives
-    each check's decision. A subclass's `_checks` yields, in order, per
-    chunk or piece of one, the steps done before it, where each check
-    fires, and the included counts (None outside the subsampled rule); it
-    may leave out a piece where neither check can fire.
+    of the trial's streams, walks the observations in chunks that start at
+    `_first_chunk()` steps and double up to _CHUNK_CAP, and halts at the
+    first step where either of the test's two checks fires; the first check
+    wins a tie, and DECISIONS gives each check's decision. A subclass's
+    `_checks` yields, in order, per chunk or piece of one, the steps done
+    before it, where each check fires, and the included counts (None
+    outside the subsampled rule); it may leave out a piece where neither
+    check can fire.
     """
 
-    FIRST_CHUNK: int
     DECISIONS: tuple[int, int]
 
     def __init__(self, cfg, roles: int):
@@ -362,7 +371,7 @@ class Kernel:
         for rng, key in zip(self._rngs, words):
             rekey(rng, key)
         horizon = self.cfg.horizon
-        chunks = BitReader(observations).chunks(horizon, self.FIRST_CHUNK)
+        chunks = BitReader(observations).chunks(horizon, self._first_chunk())
         m = None
         for n_done, first, second, m in self._checks(chunks, *self._rngs):
             fired = first | second
@@ -382,9 +391,13 @@ class TestKernel(Kernel):
     `threshold_lower` and `threshold_upper` give; for the subsampled rule
     they hold only the n-only correction terms, and the budget term, which
     divides by the included count, is added per chunk.
+
+    It sizes a run's first chunk from the stopping times of its runs so far.
+    Any chunking gives the same outcome: S_n is an integer cumsum, every
+    threshold is a function of n alone, and each noise stream draws one
+    word per value.
     """
 
-    FIRST_CHUNK = _CHUNK_START
     DECISIONS = (0, 1)  # the lower check comes first
 
     def __init__(self, cfg: TestConfig):
@@ -392,6 +405,22 @@ class TestKernel(Kernel):
         super().__init__(cfg, 3 if self._sub else 2)
         self._res = _resolve(cfg)
         self._lo = self._hi = np.empty(0)
+        self._runs = self._tau_sum = 0
+
+    def _first_chunk(self) -> int:
+        """1.25 times the mean tau of the runs so far, rounded up to a
+        multiple of _CHUNK_START, at least _CHUNK_START and at most 8 caps;
+        _CHUNK_START before the first run."""
+        if not self._runs:
+            return _CHUNK_START
+        learned = -(-5 * self._tau_sum // (4 * _CHUNK_START * self._runs)) * _CHUNK_START
+        return min(max(learned, _CHUNK_START), 8 * _CHUNK_CAP)
+
+    def run(self, words, observations: Iterable[int]) -> TestOutcome:
+        out = super().run(words, observations)
+        self._runs += 1
+        self._tau_sum += out.tau
+        return out
 
     def _thresholds(self, start: int, stop: int, m) -> tuple[np.ndarray, np.ndarray]:
         """Thresholds at steps start+1..stop; `m` holds the included counts
@@ -425,16 +454,18 @@ class TestKernel(Kernel):
                 m = m_carry + np.cumsum(include)
                 valid = m > 0
                 xbar = np.divide(s, m, out=np.zeros(got), where=valid)
+                lower, upper = self._thresholds(n_done, n_done + got, m)
+                stat = xbar + rate * y / n
+                yield (n_done, valid & (stat <= lower - rate * z / n),
+                       valid & (stat >= upper + rate * z / n), m)
+                m_carry = int(m[-1])
             else:
-                s = m = s_carry + np.cumsum(bits)
-                valid = True
-                xbar = s / n
-            lower, upper = self._thresholds(n_done, n_done + got, m)
-            stat = xbar + rate * y / n
-            yield (n_done, valid & (stat <= lower - rate * z / n),
-                   valid & (stat >= upper + rate * z / n), m if rng_b is not None else None)
+                s = s_carry + np.cumsum(bits)
+                lower, upper = self._thresholds(n_done, n_done + got, None)
+                # rate is 1 here, and a product by 1.0 is exact
+                stat = s / n + y / n
+                yield n_done, stat <= lower - z / n, stat >= upper + z / n, None
             s_carry = int(s[-1])
-            m_carry = int(m[-1])
 
 
 def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcome:

@@ -54,7 +54,8 @@ class BitStream:
     `take(k)` draws exactly k uniforms, one 64-bit Philox word each, so the
     bit sequence is a pure function of the generator state, independent of
     whether the consumer pulls bit by bit or in chunks, and the stream draws
-    no bit its consumer does not take.
+    no bit its consumer does not take. It returns a bool array, which
+    `dp_sprt.BitReader` takes without a value check.
     """
 
     def __init__(self, p: float, rng: np.random.Generator):
@@ -64,7 +65,7 @@ class BitStream:
         self._rng = rng
 
     def take(self, k: int) -> np.ndarray:
-        return (self._rng.random(k) < self._p).astype(np.int64)
+        return self._rng.random(k) < self._p
 
     def __iter__(self):
         return self

@@ -430,9 +430,11 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["simulate"] + SMALL_GRID, {"tau_sq_bound": "0.5"}),
     (["tune-kappa", "--pilot-trials", "5", "--confirm-trials", "5"], {"tune_eps": "abc"}),
     (["simulate", "--trials", "5", "--eps", "5,1e300", "--variants", "classical,gaussian"], None),
+    (["simulate", "--trials", "5", "--eps", "5,1e-300", "--variants", "classical,gaussian"], None),
 ], ids=["tau_sq_bound-negative", "tau_sq_bound-below-1", "tau_sq_bound-inf",
         "rdp_alpha-0", "rdp_alpha-1", "accounting-cfg", "svg-cfg",
-        "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow"])
+        "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow",
+        "gaussian-variance-overflow"])
 def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     """A bad value from a flag, a config line or a manifest exits 2 before
     the first trial, so no output directory appears."""
@@ -448,6 +450,15 @@ def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     assert main(argv + ["--out", str(out), "--workers", "1"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps, fate", [("1e300", "underflows to 0"), ("1e-300", "overflows")])
+def test_gaussian_variance_out_of_range_names_eps(tmp_path, capsys, eps, fate):
+    argv = ["simulate", "--trials", "1", "--horizon", "10", "--eps", eps,
+            "--variants", "gaussian", "--workers", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "key 'eps'" in err and fate in err
 
 
 # one value per key that its parser rejects

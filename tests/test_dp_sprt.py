@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dpsprt.dp_sprt import (
+    BitReader,
     Classical,
     Gaussian,
     Laplace,
@@ -37,6 +38,16 @@ def _classical(alpha=0.05, beta=0.05, **kw):
 
 def _obs(p, tag):
     return BitStream(p, derive(StreamKey(404, 0, tag)))
+
+
+class _Fixed:
+    """A source whose `take` hands over the head of a fixed array."""
+
+    def __init__(self, values):
+        self._values = values
+
+    def take(self, k):
+        return self._values[:k]
 
 
 class TestDefaults:
@@ -170,6 +181,20 @@ class TestClassicalRuns:
     def test_rejects_non_bit_observation(self):
         with pytest.raises(ValueError):
             run_test(_classical(), iter([1, 0, 0.7]))
+
+    @pytest.mark.parametrize("source", [
+        lambda: iter([0, 1, 2]),
+        lambda: iter([1, 0.5]),
+        lambda: _Fixed(np.array([0, 2, 1], dtype=np.int64)),
+    ], ids=["iterable-2", "iterable-half", "int64-take-2"])
+    def test_reader_rejects_non_bits(self, source):
+        """Only a bool array from `take` skips the value check."""
+        with pytest.raises(ValueError, match="bits in"):
+            BitReader(source()).take(3)
+
+    def test_reader_takes_bool_arrays_as_int_bits(self):
+        bits = BitReader(_Fixed(np.array([True, False, True]))).take(3)
+        assert bits.dtype == np.int64 and bits.tolist() == [1, 0, 1]
 
     def test_stream_exhaustion_raises(self):
         with pytest.raises(StreamExhaustedError):

@@ -143,6 +143,61 @@ def test_outcomes_do_not_depend_on_chunk_size(cap, default_outcomes, monkeypatch
     assert _outcomes() == default_outcomes
 
 
+class _Recording:
+    """An observation source that records the size of each `take`."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.sizes = []
+
+    def take(self, k):
+        self.sizes.append(k)
+        return self.stream.take(k)
+
+
+@pytest.mark.parametrize("cap", [5, 4096])
+def test_first_chunk_is_learned_from_the_runs_so_far(cap, monkeypatch):
+    """A fresh kernel starts at 128 steps; later runs start at 1.25 times
+    the mean tau so far, rounded up to a multiple of 128, at most 8 caps,
+    and double from there up to the cap."""
+    monkeypatch.setattr(dp_sprt, "_CHUNK_CAP", cap)
+    kernel = TestKernel(_configs(1.0)["laplace"])
+    taus = []
+    for seed in range(6):
+        first = 128
+        if taus:
+            learned = -(-5 * sum(taus) // (4 * 128 * len(taus))) * 128
+            first = min(max(learned, 128), 8 * cap)
+        obs = _Recording(_obs(HYP.mu0, seed))
+        taus.append(run_test(kernel.trial(seed), obs).tau)
+        assert obs.sizes == [first] + [min(first * 2**k, cap) for k in range(1, len(obs.sizes))]
+    assert learned > 128  # the learned size moved off the start
+
+
+@pytest.mark.parametrize("horizon", [129, 700, 1_000_000])
+@pytest.mark.parametrize("eps", [1.0, 5.0])
+@pytest.mark.parametrize("name", ["classical", "laplace", "gaussian", "laplace_sub"])
+def test_outcomes_do_not_depend_on_the_learned_first_chunk(name, eps, horizon):
+    """A trial's first chunk depends on the runs its kernel made before it:
+    none in a fresh kernel, and others in one kernel run forward or in
+    reverse. All three give the same outcomes."""
+    cfg = replace(_configs(eps)[name], horizon=horizon)
+    seeds = list(range(24))
+
+    def outcome(trial, seed):
+        out = run_test(trial, _obs(HYP.mu1 if seed % 2 else HYP.mu0, seed))
+        return out.tau, out.decision, out.exhausted
+
+    fresh = [outcome(TestKernel(replace(cfg, seed=seed)).trial(seed), seed) for seed in seeds]
+    forward, reverse = TestKernel(cfg), TestKernel(cfg)
+    assert [outcome(forward.trial(seed), seed) for seed in seeds] == fresh
+    assert [outcome(reverse.trial(seed), seed) for seed in reversed(seeds)] == fresh[::-1]
+    if eps == 1.0 and name != "classical":
+        assert forward._first_chunk() > 128  # reused kernels chunk otherwise than fresh ones
+    if horizon == 129 and name != "classical":
+        assert any(exhausted for _, _, exhausted in fresh)
+
+
 @pytest.mark.parametrize("eps", [1.0, 5.0])
 @pytest.mark.parametrize("name", list(_configs(1.0)))
 def test_horizon_boundary(name, eps):
