@@ -265,8 +265,12 @@ def _run_grid(v, truths, workers):
                     raise ConfigError(f"key 'eps': {eps:g} is too {how} for the gaussian "
                                       f"variant: its noise variance {fate}")
                 g = gamma if gamma is not None else default_gamma(eps)
-                cfg = TestConfig(hyp, alpha, beta, Gaussian(sy, sz), gamma=g,
-                                 correction=params, horizon=horizon)
+                try:
+                    cfg = TestConfig(hyp, alpha, beta, Gaussian(sy, sz), gamma=g,
+                                     correction=params, horizon=horizon)
+                except ValueError as exc:  # the correction's domain
+                    key = "alpha" if alpha > beta else "beta"
+                    raise ConfigError(f"key {key!r}: {v[key]:g} is too large: {exc}") from None
             elif name == "laplace_sub":
                 r = v["rate"] if v["rate"] is not None else default_subsample_rate(eps)
                 cfg = TestConfig(hyp, alpha, beta, LaplaceSub(eps, r), gamma=gamma,
@@ -288,13 +292,13 @@ def _run_grid(v, truths, workers):
             cells[i] = replace(cell, config=cfg)
     results = []
     for truth in truths:
-        plan = ExperimentPlan(hyp.mu0, hyp.mu1, truth, tuple(cells), v["trials"], v["seed"])
+        plan = ExperimentPlan(truth, tuple(cells), v["trials"], v["seed"])
         results.extend(run_experiment(plan, workers=workers))
     record = {"privsprt_calibration": calibration}
     if v["kappa"] < 1.0:
         record["warning"] = "kappa < 1: no formal correctness guarantee"
         print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
-    return cells, hyp, results, record
+    return cells, results, record
 
 
 def _write_outputs(args, opts, writers: dict, extra=None) -> None:
@@ -352,11 +356,11 @@ def _guarantees(v, cells) -> dict:
 
 
 def cmd_simulate(v, opts, args) -> int:
-    cells, hyp, results, record = _run_grid(v, v["truth"], args.workers)
+    cells, results, record = _run_grid(v, v["truth"], args.workers)
     _write_outputs(
         args, opts,
         {
-            "trials.csv": lambda p: write_trials_csv(p, results, hyp.mu0, hyp.mu1),
+            "trials.csv": lambda p: write_trials_csv(p, results),
             "summary.csv": lambda p: write_summary_csv(p, results),
         },
         {"privacy_guarantees": _guarantees(v, cells), **record},
@@ -404,7 +408,7 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_compare(v, opts, args) -> int:
-    _, hyp, results, record = _run_grid(v, (0,), args.workers)
+    _, results, record = _run_grid(v, (0,), args.workers)
 
     rows = []
     for res in results:
@@ -424,7 +428,7 @@ def cmd_compare(v, opts, args) -> int:
                 ])
 
     writers = {
-        "trials.csv": lambda p: write_trials_csv(p, results, hyp.mu0, hyp.mu1),
+        "trials.csv": lambda p: write_trials_csv(p, results),
         "summary.csv": lambda p: write_summary_csv(p, results),
         "comparison.csv": write_comparison,
     }
@@ -454,8 +458,7 @@ def cmd_tune_kappa(v, opts, args) -> int:
         pair = []
         for truth in (0, 1):
             plan = ExperimentPlan(
-                hyp.mu0, hyp.mu1, truth,
-                (PlannedVariant(f"tune:{tag}@kappa={kappa:g}", cfg, eps),),
+                truth, (PlannedVariant(f"tune:{tag}@kappa={kappa:g}", cfg, eps),),
                 n_trials, v["seed"],
             )
             res = run_experiment(plan, workers=args.workers)[0]

@@ -34,7 +34,6 @@ import numpy as np
 from .exp_family import HypothesisPair
 from .noise import (
     CorrectionParams,
-    NoiseFamily,
     NoiseSpec,
     correction_vec,
     sample_y,
@@ -131,11 +130,11 @@ def gaussian_scales(epsilon: float, delta: float = 1e-5) -> tuple[float, float]:
 class TestConfig:
     """Full configuration of one sequential test instance.
 
-    `gamma=None` resolves to the default allocation rule for private
-    variants; the classical variant ignores gamma. `noise_override` and
-    `zero_correction` are instrumentation hooks that replace the variant's
-    noise with another family or drop the correction while keeping the
-    remaining calibration intact.
+    `gamma=None` resolves to the default allocation rule for the Laplace
+    variants; the Gaussian variant needs an explicit gamma, and the
+    classical variant ignores gamma. The variant sets the noise and the
+    correction. A Gaussian test whose correction is undefined at n = 1, at
+    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), raises ValueError.
     """
 
     hypotheses: HypothesisPair
@@ -146,8 +145,6 @@ class TestConfig:
     correction: CorrectionParams = CorrectionParams()
     horizon: int = 1_000_000
     seed: int = 0
-    noise_override: NoiseSpec | None = None
-    zero_correction: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0 or not 0.0 < self.beta < 1.0:
@@ -156,6 +153,9 @@ class TestConfig:
             raise ValueError("gamma must lie in (0,1)")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
+        if isinstance(self.variant, Gaussian) and self.gamma is not None:
+            _corrections(_resolve(self), np.ones(1))  # raises outside the domain
+
 
 def resolved_gamma(cfg: "TestConfig") -> float | None:
     """The error allocation a run will actually use; None for classical."""
@@ -226,7 +226,6 @@ class _Resolved:
     """Per-run constants derived from a TestConfig."""
 
     spec: NoiseSpec
-    corr_family: NoiseFamily
     params: CorrectionParams
     gamma: float
     log_b: float  # log(1/(gamma*beta)), or log(1/beta) for classical
@@ -240,19 +239,16 @@ def _resolve(cfg: TestConfig) -> _Resolved:
     v = cfg.variant
     if isinstance(v, Classical):
         spec = NoiseSpec.zero()
-        corr_family = NoiseFamily.ZERO
         params = cfg.correction
         gamma = 1.0
         rate = 1.0
     elif isinstance(v, Laplace) or isinstance(v, LaplaceSub):
         spec = NoiseSpec.laplace_default(v.epsilon)
-        corr_family = NoiseFamily.LAPLACE
         params = replace(cfg.correction, epsilon=v.epsilon)
         gamma = cfg.gamma if cfg.gamma is not None else default_gamma(v.epsilon)
         rate = v.rate if isinstance(v, LaplaceSub) else 1.0
     elif isinstance(v, Gaussian):
         spec = NoiseSpec.gaussian(v.sigma_y, v.sigma_z)
-        corr_family = NoiseFamily.GAUSSIAN
         params = replace(cfg.correction, sigma_sum_sq=v.sigma_y**2 + v.sigma_z**2)
         if cfg.gamma is None:
             raise ValueError("Gaussian variant needs an explicit gamma")
@@ -260,30 +256,23 @@ def _resolve(cfg: TestConfig) -> _Resolved:
         rate = 1.0
     else:
         raise TypeError(f"unknown variant {v!r}")
-    if cfg.noise_override is not None:
-        spec = cfg.noise_override
-    if cfg.zero_correction:
-        corr_family = NoiseFamily.ZERO
     if isinstance(v, Classical):
         log_b = math.log(1.0 / cfg.beta)
         log_a = math.log(1.0 / cfg.alpha)
-        delta_lo = delta_hi = 0.5  # unused: correction family is ZERO
+        delta_lo = delta_hi = 0.5  # unused: the noise family is ZERO
     else:
         log_b = math.log(1.0 / (gamma * cfg.beta))
         log_a = math.log(1.0 / (gamma * cfg.alpha))
         delta_lo = (1.0 - gamma) * cfg.beta
         delta_hi = (1.0 - gamma) * cfg.alpha
-    return _Resolved(spec, corr_family, params, gamma, log_b, log_a, delta_lo, delta_hi, rate)
+    return _Resolved(spec, params, gamma, log_b, log_a, delta_lo, delta_hi, rate)
 
 
 def _corrections(res: _Resolved, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The n-only threshold terms r * C(n, delta) below and above."""
-    if res.corr_family is NoiseFamily.ZERO:
-        zero = np.zeros_like(n)
-        return zero, zero
     return (
-        res.rate * correction_vec(res.params, res.corr_family, n, res.delta_lo),
-        res.rate * correction_vec(res.params, res.corr_family, n, res.delta_hi),
+        res.rate * correction_vec(res.params, res.spec.family, n, res.delta_lo),
+        res.rate * correction_vec(res.params, res.spec.family, n, res.delta_hi),
     )
 
 

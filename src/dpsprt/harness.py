@@ -1,8 +1,8 @@
 """Seeded Monte Carlo experiment engine.
 
-A plan names an instance, a ground-truth hypothesis, a list of test
-variants, and a trial count. Trial i of variant v draws its observation
-and noise streams from keys derived injectively from (master_seed,
+A plan names a ground-truth hypothesis, a list of test variants, each on
+its own instance, and a trial count. Trial i of variant v draws its
+observation and noise streams from keys derived injectively from (master_seed,
 variant_id, i), so results are bit-reproducible, independent of the order
 variants appear in the plan and of how many workers run the trials. Each
 job runs a block of one variant's trials on one kernel prepared for it: the
@@ -89,8 +89,8 @@ class PlannedVariant:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    instance_p0: float
-    instance_p1: float
+    """`n_trials` trials of each cell under hypothesis `truth` of its own instance."""
+
     truth: int  # 0 or 1
     variants: tuple[PlannedVariant, ...]
     n_trials: int
@@ -133,8 +133,10 @@ def _trial_seeds(master_seed: int, vid: int, trials: np.ndarray) -> np.ndarray:
 def _run_block(args) -> list[TrialRecord]:
     """Trials start..stop-1 of one cell, on one kernel prepared for the cell,
     which keys the whole block's noise streams at once. Each trial derives
-    its own observation stream first, then runs."""
-    p_truth, variant, master_seed, start, stop = args
+    its own observation stream, of the truth's p in the cell's instance,
+    first, then runs."""
+    truth, variant, master_seed, start, stop = args
+    p_truth = (variant.config.hypotheses.mu0, variant.config.hypotheses.mu1)[truth]
     vid = fnv1a64(variant.variant_id)
     if isinstance(variant.config, PrivSprtConfig):
         kernel, run = PrivSprtKernel(variant.config), run_privsprt
@@ -219,14 +221,13 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRes
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    p_truth = plan.instance_p1 if plan.truth == 1 else plan.instance_p0
     n = plan.n_trials
     # one block per cell at one worker; with more, about eight blocks per
     # worker over the plan, so that slow cells spread across the pool
     per_cell = 1 if workers <= 1 else min(n, math.ceil(8 * workers / max(1, len(plan.variants))))
     bounds = [n * k // per_cell for k in range(per_cell + 1)]
     jobs = [
-        (p_truth, variant, plan.master_seed, start, stop)
+        (plan.truth, variant, plan.master_seed, start, stop)
         for variant in plan.variants
         for start, stop in zip(bounds, bounds[1:])
     ]
@@ -273,18 +274,20 @@ def _variant_fields(variant: PlannedVariant) -> dict:
     }
 
 
-def write_trials_csv(path, results: Iterable[ExperimentResult], p0: float, p1: float) -> None:
-    """Per-trial rows in the fixed column order, one line per trial."""
+def write_trials_csv(path, results: Iterable[ExperimentResult]) -> None:
+    """Per-trial rows in the fixed column order, one line per trial; p0 and
+    p1 are the instance of the row's own cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRIAL_COLUMNS)
         for res in results:
             base = _variant_fields(res.variant)
+            hyp = res.variant.config.hypotheses
             for r in res.trials:
                 w.writerow([
                     res.variant.variant_id,
                     f"H{res.truth}",
-                    _fmt(p0), _fmt(p1),
+                    _fmt(hyp.mu0), _fmt(hyp.mu1),
                     _fmt(base["alpha"]), _fmt(base["beta"]), _fmt(base["gamma"]),
                     _fmt(base["epsilon"]), _fmt(base["r"]), _fmt(base["kappa"]),
                     r.trial, r.tau,

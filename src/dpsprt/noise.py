@@ -158,8 +158,10 @@ def correction_vec(
     factor = 1.0 if family is NoiseFamily.LAPLACE else 2.0
     log_arg = params.s * np.log(n) + math.log(params.zeta_s) - math.log(factor * delta)
     if np.any(log_arg <= 0.0):
-        # zeta(s) > 1 and delta < 1 make the argument > 1 for n >= 1
-        raise RuntimeError("internal error: correction log argument <= 1")
+        # zeta(s) > 1 > delta keeps the Laplace argument positive for n >= 1;
+        # the Gaussian one, at factor 2, needs 2 * delta < zeta(s)
+        raise ValueError(f"the {family.value} correction needs {factor:g} * delta below "
+                         f"zeta(s) = {params.zeta_s:g}, got delta = {delta:g}")
     if family is NoiseFamily.LAPLACE:
         if params.epsilon is None or params.epsilon <= 0.0:
             raise ValueError("Laplace correction requires a positive epsilon")

@@ -102,7 +102,9 @@ def rdp_to_approx_dp(
     target_eps: float,
 ) -> ApproxDP:
     """Convert an RDP profile at order alpha to (target_eps, delta)-DP via
-    delta = exp(-(alpha-1)(target_eps - profile(alpha)))."""
+    delta = exp(-(alpha-1)(target_eps - profile(alpha))). A delta that
+    underflows to 0 is reported as the smallest positive double, 5e-324,
+    which bounds it from above."""
     if alpha <= 1.0:
         raise ValueError("Renyi order alpha must exceed 1")
     eps_alpha = profile(alpha)
@@ -110,7 +112,8 @@ def rdp_to_approx_dp(
         raise ValueError(
             f"target epsilon {target_eps} must exceed the profile value {eps_alpha}"
         )
-    return ApproxDP(target_eps, math.exp(-(alpha - 1.0) * (target_eps - eps_alpha)))
+    delta = math.exp(-(alpha - 1.0) * (target_eps - eps_alpha))
+    return ApproxDP(target_eps, max(delta, math.ulp(0.0)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line charts for comparison output."""
+"""Minimal dependency-free SVG line charts, on log axes, for comparison output."""
 
 from __future__ import annotations
 
@@ -11,17 +11,13 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        return [10.0**e for e in range(lo_e, hi_e + 1)]
-    step = 10 ** math.floor(math.log10(hi - lo)) if hi > lo else 1.0
-    t, out = math.ceil(lo / step) * step, []
-    while t <= hi + 1e-12:
-        out.append(t)
-        t += step
-    return out
+def _ticks(vals: list[float]) -> list[float]:
+    """The powers of ten that span `vals`; none for no values."""
+    if not vals:
+        return []
+    lo_e = math.floor(math.log10(min(vals)))
+    hi_e = math.ceil(math.log10(max(vals)))
+    return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
 def write_line_chart(
@@ -29,27 +25,19 @@ def write_line_chart(
     series: dict[str, list[tuple[float, float]]],
     xlabel: str,
     ylabel: str,
-    logx: bool = True,
-    logy: bool = True,
 ) -> None:
-    """Write one polyline per series with circles at the data points."""
+    """Write one polyline per series with circles at the data points, on
+    log10 axes. A point that a log axis cannot place (a coordinate that is
+    not finite or not positive) is left out, and so is a series left with
+    no point; with no point left at all, the chart holds only its axes and
+    labels. Raises ValueError if `series` names no series."""
+    if not series:
+        raise ValueError("no series to plot")
+    series = {name: [(x, y) for x, y in pts if 0.0 < x < math.inf and 0.0 < y < math.inf]
+              for name, pts in series.items()}
+    series = {name: pts for name, pts in series.items() if pts}
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
-    if not xs:
-        raise ValueError("no data points to plot")
-    fx = (lambda v: math.log10(v)) if logx else (lambda v: v)
-    fy = (lambda v: math.log10(v)) if logy else (lambda v: v)
-    x0, x1 = min(map(fx, xs)), max(map(fx, xs))
-    y0, y1 = min(map(fy, ys)), max(map(fy, ys))
-    x1 = x1 if x1 > x0 else x0 + 1.0
-    y1 = y1 if y1 > y0 else y0 + 1.0
-
-    def px(v):
-        return _ML + (fx(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
-
-    def py(v):
-        return _H - _MB - (fy(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'font-family="sans-serif" font-size="12">',
@@ -60,13 +48,23 @@ def write_line_chart(
         f'<text x="16" y="{(_MT+_H-_MB)/2}" text-anchor="middle" '
         f'transform="rotate(-90 16 {(_MT+_H-_MB)/2})">{ylabel}</text>',
     ]
-    for t in _ticks(min(xs), max(xs), logx):
-        if min(xs) <= t <= max(xs) or logx:
-            x = px(t)
-            if _ML - 1 <= x <= _W - _MR + 1:
-                parts.append(f'<line x1="{x:.1f}" y1="{_H-_MB}" x2="{x:.1f}" y2="{_H-_MB+5}" stroke="black"/>')
-                parts.append(f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle">{t:g}</text>')
-    for t in _ticks(min(ys), max(ys), logy):
+    x0, x1 = min(map(math.log10, xs), default=0.0), max(map(math.log10, xs), default=0.0)
+    y0, y1 = min(map(math.log10, ys), default=0.0), max(map(math.log10, ys), default=0.0)
+    x1 = x1 if x1 > x0 else x0 + 1.0
+    y1 = y1 if y1 > y0 else y0 + 1.0
+
+    def px(v):
+        return _ML + (math.log10(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
+
+    def py(v):
+        return _H - _MB - (math.log10(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
+
+    for t in _ticks(xs):
+        x = px(t)
+        if _ML - 1 <= x <= _W - _MR + 1:
+            parts.append(f'<line x1="{x:.1f}" y1="{_H-_MB}" x2="{x:.1f}" y2="{_H-_MB+5}" stroke="black"/>')
+            parts.append(f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle">{t:g}</text>')
+    for t in _ticks(ys):
         y = py(t)
         if _MT - 1 <= y <= _H - _MB + 1:
             parts.append(f'<line x1="{_ML-5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')

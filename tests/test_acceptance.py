@@ -81,7 +81,7 @@ def grid():
     """stats[(variant_id, truth)] -> BatchStats over 1000 trials."""
     out = {}
     for truth in (0, 1):
-        plan = ExperimentPlan(HYP.mu0, HYP.mu1, truth, tuple(_variants()), N_TRIALS, MASTER_SEED)
+        plan = ExperimentPlan(truth, tuple(_variants()), N_TRIALS, MASTER_SEED)
         for res in run_experiment(plan):
             out[(res.variant.variant_id, truth)] = res.stats
     return out
@@ -150,9 +150,7 @@ def test_criterion_05_privsprt_comparison(grid):
         rng = derive(StreamKey(MASTER_SEED, fnv1a64(vid), 0, Substream.PILOT))
         cal = calibrate_privsprt(base, ALPHA, BETA, pilot_trials=100, rng=rng)
         cfg = replace(base, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
-        plan = ExperimentPlan(
-            HYP.mu0, HYP.mu1, 0, (PlannedVariant(vid, cfg, eps),), N_TRIALS, MASTER_SEED
-        )
+        plan = ExperimentPlan(0, (PlannedVariant(vid, cfg, eps),), N_TRIALS, MASTER_SEED)
         priv = run_experiment(plan)[0].stats
         lap = grid[(f"laplace@eps={eps:g}", 0)]
         slack = _pooled_se(lap, priv)

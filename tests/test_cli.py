@@ -283,6 +283,17 @@ class TestSimulate:
         assert note["epsilon"] is None
         assert "unavailable" in note["tau_sq_source"]
 
+    @pytest.mark.parametrize("source", [["--tau-sq-bound", "10"], ["--accounting"]])
+    def test_accounting_delta_underflow_is_bounded(self, tmp_path, source):
+        """At eps 1000 the converted delta underflows to 0.0; the manifest
+        records the smallest positive double, which bounds it from above."""
+        out = tmp_path / "uf"
+        rc = main(["simulate", "--variants", "gaussian", "--eps", "1000", *source,
+                   "--trials", "3", "--workers", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        note = json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
+        assert note["gaussian@eps=1000"]["delta"] == 5e-324
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
         monkeypatch.setenv("DPSPRT_SEED", "7")
@@ -307,6 +318,20 @@ class TestCompare:
         for r in rows:
             assert float(r["mean_tau"]) > 0
         assert (out / "comparison.svg").read_text().startswith("<svg")
+
+    def test_svg_with_every_trial_exhausted(self, tmp_path):
+        """At horizon 1 every trial is exhausted and every mean tau is nan:
+        the chart keeps its axes and labels, and the run writes its manifest."""
+        out = tmp_path / "ex"
+        rc = main(["compare", "--horizon", "1", "--trials", "3", "--eps", "5",
+                   "--variants", "classical,laplace", "--svg", "--workers", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "comparison.svg" in manifest["outputs"]
+        svg = (out / "comparison.svg").read_text()
+        assert "epsilon" in svg and "mean stopping time" in svg
+        assert "<polyline" not in svg and "<circle" not in svg
 
     def test_rerun_from_compare_manifest(self, tmp_path):
         args = ["compare", "--trials", "20", "--eps", "1", "--seed", "3",
@@ -431,10 +456,14 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["tune-kappa", "--pilot-trials", "5", "--confirm-trials", "5"], {"tune_eps": "abc"}),
     (["simulate", "--trials", "5", "--eps", "5,1e300", "--variants", "classical,gaussian"], None),
     (["simulate", "--trials", "5", "--eps", "5,1e-300", "--variants", "classical,gaussian"], None),
+    (["simulate", "--trials", "3", "--eps", "1", "--variants", "gaussian", "--beta", "0.6",
+      "--s", "10"], None),
+    (["simulate", "--trials", "3", "--eps", "1", "--variants", "gaussian", "--alpha", "0.01",
+      "--beta", "0.95"], None),
 ], ids=["tau_sq_bound-negative", "tau_sq_bound-below-1", "tau_sq_bound-inf",
         "rdp_alpha-0", "rdp_alpha-1", "accounting-cfg", "svg-cfg",
         "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow",
-        "gaussian-variance-overflow"])
+        "gaussian-variance-overflow", "gaussian-domain-s", "gaussian-domain-beta"])
 def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     """A bad value from a flag, a config line or a manifest exits 2 before
     the first trial, so no output directory appears."""
@@ -459,6 +488,29 @@ def test_gaussian_variance_out_of_range_names_eps(tmp_path, capsys, eps, fate):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "key 'eps'" in err and fate in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--beta", "0.6", "--s", "10"], "beta"),
+    (["--alpha", "0.01", "--beta", "0.95"], "beta"),
+    (["--alpha", "0.6", "--s", "10"], "alpha"),
+])
+def test_gaussian_correction_domain_names_the_key(tmp_path, capsys, monkeypatch, argv, key):
+    """Past 2 * (1 - gamma) * max(alpha, beta) >= zeta(s) the Gaussian
+    correction is undefined at n = 1: exit 2 naming the larger error target,
+    before any calibration or trial."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--variants", "laplace,privsprt,gaussian", "--eps", "1",
+               "--trials", "3", *argv, "--workers", "1", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: key {key!r}" in err and "zeta(s)" in err
+    assert not out.exists()
 
 
 # one value per key that its parser rejects

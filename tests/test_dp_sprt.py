@@ -24,7 +24,7 @@ from dpsprt.dp_sprt import (
 )
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import BitStream
-from dpsprt.noise import NoiseFamily, NoiseSpec, sample_z
+from dpsprt.noise import CorrectionParams, NoiseFamily, NoiseSpec, sample_z
 from dpsprt.outside_interval import StreamExhaustedError
 from dpsprt.rngcore import StreamKey, Substream, derive
 
@@ -82,6 +82,23 @@ class TestDefaults:
         cfg = TestConfig(HYP, 0.05, 0.05, Gaussian(2.0, 1.0))
         with pytest.raises(ValueError):
             threshold_lower(cfg, 1)
+
+    @pytest.mark.parametrize("alpha, beta, gamma, s", [
+        (0.05, 0.6, 0.01, 10.0), (0.01, 0.95, 0.01, 2.0), (0.6, 0.05, 0.01, 10.0)])
+    def test_gaussian_correction_domain(self, alpha, beta, gamma, s):
+        """A Gaussian test whose correction is undefined at n = 1, where
+        2 * (1 - gamma) * max(alpha, beta) >= zeta(s), fails at construction;
+        a gamma that leaves 2 * delta below zeta(s) gives finite thresholds."""
+        params = CorrectionParams(s=s)
+        with pytest.raises(ValueError, match="zeta"):
+            TestConfig(HYP, alpha, beta, Gaussian(2.0, 1.0), gamma=gamma, correction=params)
+        delta = max(alpha, beta) * (1 - 0.5)
+        assert 2 * delta < params.zeta_s
+        cfg = TestConfig(HYP, alpha, beta, Gaussian(2.0, 1.0), gamma=0.5, correction=params)
+        assert math.isfinite(threshold_lower(cfg, 1)) and math.isfinite(threshold_upper(cfg, 1))
+        # the Laplace correction, at factor 1, is defined there
+        lap = TestConfig(HYP, alpha, beta, Laplace(1.0), gamma=gamma, correction=params)
+        assert math.isfinite(threshold_upper(lap, 1))
 
     def test_resolved_gamma(self):
         assert resolved_gamma(_classical()) is None
@@ -142,11 +159,9 @@ class TestThresholds:
             diff = threshold_upper(cfg, n) - threshold_upper(split, n)
             assert diff == pytest.approx(corr_hi, rel=1e-12)
 
-    def test_zero_noise_interval_stays_ordered(self):
-        cfg = TestConfig(
-            HYP, 0.05, 0.05, Laplace(1.0), gamma=0.5,
-            noise_override=NoiseSpec.zero(), zero_correction=True,
-        )
+    def test_zero_noise_interval_stays_ordered(self, swap_noise):
+        swap_noise(NoiseSpec.zero(), zero_correction=True)
+        cfg = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), gamma=0.5)
         for n in range(1, 1000):
             assert threshold_lower(cfg, n) < threshold_upper(cfg, n)
 
@@ -221,33 +236,28 @@ class TestReduction:
 
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9])
     @pytest.mark.parametrize("seed_tag", [0, 1, 2])
-    def test_laplace_reduces(self, gamma, seed_tag):
+    def test_laplace_reduces(self, gamma, seed_tag, swap_noise):
         bits = list(_obs(0.55, seed_tag).take(4000))
-        noisy = TestConfig(
-            HYP, 0.05, 0.05, Laplace(1.0), gamma=gamma,
-            noise_override=NoiseSpec.zero(), zero_correction=True,
-        )
+        swap_noise(NoiseSpec.zero(), zero_correction=True)
+        noisy = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), gamma=gamma)
         split = TestConfig(HYP, gamma * 0.05, gamma * 0.05, Classical())
         a = run_test(noisy, iter(bits))
         b = run_test(split, iter(bits))
         assert (a.tau, a.decision) == (b.tau, b.decision)
 
-    def test_gaussian_reduces(self):
+    def test_gaussian_reduces(self, swap_noise):
         bits = list(_obs(0.4, 3).take(4000))
-        noisy = TestConfig(
-            HYP, 0.05, 0.05, Gaussian(5.0, 3.0), gamma=0.5,
-            noise_override=NoiseSpec.zero(), zero_correction=True,
-        )
+        swap_noise(NoiseSpec.zero(), zero_correction=True)
+        noisy = TestConfig(HYP, 0.05, 0.05, Gaussian(5.0, 3.0), gamma=0.5)
         split = TestConfig(HYP, 0.025, 0.025, Classical())
         a = run_test(noisy, iter(bits))
         b = run_test(split, iter(bits))
         assert (a.tau, a.decision) == (b.tau, b.decision)
 
-    def test_zero_noise_with_correction_never_stops_earlier(self):
+    def test_zero_noise_with_correction_never_stops_earlier(self, swap_noise):
         gamma = 0.5
-        kept = TestConfig(
-            HYP, 0.05, 0.05, Laplace(1.0), gamma=gamma, noise_override=NoiseSpec.zero()
-        )
+        swap_noise(NoiseSpec.zero())
+        kept = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), gamma=gamma)
         split = TestConfig(HYP, 0.025, 0.025, Classical())
         for tag in range(5):
             bits = list(_obs(0.7, 10 + tag).take(4000))
@@ -294,7 +304,7 @@ class TestSubsampled:
 
 
 class TestVariantOrdering:
-    def test_lower_check_wins_when_both_fire(self):
+    def test_lower_check_wins_when_both_fire(self, swap_noise):
         # a threshold noise Z far below 0 moves the noisy lower threshold
         # above the noisy upper one, so at n = 1 even a 1 bit satisfies both
         # checks; the lower one is evaluated first
@@ -302,8 +312,8 @@ class TestVariantOrdering:
         seeds = [seed for seed in range(20)
                  if sample_z(spec, derive(StreamKey(seed, substream=Substream.NOISE_Z))) < -100]
         assert seeds
+        swap_noise(spec, zero_correction=True)
         for seed in seeds:
-            cfg = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=seed, noise_override=spec,
-                             zero_correction=True)
+            cfg = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=seed)
             out = run_test(cfg, iter([1]))
             assert (out.tau, out.decision) == (1, 0)

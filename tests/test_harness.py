@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsprt.dp_sprt import Classical, Laplace, TestConfig
+from dpsprt.dp_sprt import Classical, Laplace, TestConfig, TestKernel, run_test
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import (
     SUMMARY_COLUMNS,
@@ -22,7 +22,7 @@ from dpsprt.harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from dpsprt.rngcore import StreamKey, derive, fnv1a64, mix64
+from dpsprt.rngcore import StreamKey, Substream, derive, fnv1a64, mix64
 
 HYP = HypothesisPair.of(0.3, 0.7)
 
@@ -39,7 +39,7 @@ def test_trial_seeds_match_the_scalar_formula():
 
 
 def _plan(variants, truth=0, n_trials=40, seed=2024):
-    return ExperimentPlan(HYP.mu0, HYP.mu1, truth, tuple(variants), n_trials, seed)
+    return ExperimentPlan(truth, tuple(variants), n_trials, seed)
 
 
 def _classical_variant(vid="classical", eps=None):
@@ -192,7 +192,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             _plan([_classical_variant(), _classical_variant()])  # duplicate ids
         with pytest.raises(ValueError):
-            ExperimentPlan(0.3, 0.7, 2, (_classical_variant(),), 10, 0)
+            ExperimentPlan(2, (_classical_variant(),), 10, 0)
 
 
 class TestCsvOutput:
@@ -201,8 +201,8 @@ class TestCsvOutput:
         results = run_experiment(plan)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_trials_csv(p1, results, HYP.mu0, HYP.mu1)
-        write_trials_csv(p2, run_experiment(plan), HYP.mu0, HYP.mu1)
+        write_trials_csv(p1, results)
+        write_trials_csv(p2, run_experiment(plan))
         assert p1.read_bytes() == p2.read_bytes()
         with p1.open() as fh:
             rows = list(csv.reader(fh))
@@ -217,6 +217,37 @@ class TestCsvOutput:
         assert row["decision"] in ("0", "1")
         assert row["exhausted"] == "0"
         assert int(row["seed_lo"]) < 2**32 and int(row["seed_hi"]) < 2**32
+
+    @pytest.mark.parametrize("truth", [0, 1])
+    def test_plan_mixing_instances(self, tmp_path, truth):
+        """A plan may hold cells of different instances: each cell's records
+        and CSV rows equal those of the cell run alone in its own plan, and
+        each row carries its own cell's p0 and p1."""
+        cells = [
+            PlannedVariant("a", TestConfig(HYP, 0.05, 0.05, Classical())),
+            PlannedVariant("b", TestConfig(HypothesisPair.of(0.2, 0.6), 0.05, 0.05, Classical())),
+        ]
+        mixed = run_experiment(_plan(cells, truth=truth, n_trials=60), workers=2)
+        write_trials_csv(tmp_path / "mixed.csv", mixed)
+        with (tmp_path / "mixed.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for cell, res in zip(cells, mixed):
+            alone = run_experiment(_plan([cell], truth=truth, n_trials=60))
+            assert res.trials == alone[0].trials and res.stats == alone[0].stats
+            path = tmp_path / f"{cell.variant_id}.csv"
+            write_trials_csv(path, alone)
+            with path.open() as fh:
+                assert [r for r in rows if r["variant_id"] == cell.variant_id] == list(
+                    csv.DictReader(fh))
+        assert {(r["variant_id"], r["p0"], r["p1"]) for r in rows} == {
+            ("a", "0.3", "0.7"), ("b", "0.2", "0.6")}
+        # replayed by hand, cell b draws its bits at its own instance's p
+        p = (0.2, 0.6)[truth]
+        kernel = TestKernel(cells[1].config)
+        for r in mixed[1].trials:
+            obs = BitStream(p, derive(StreamKey(2024, fnv1a64("b"), r.trial, Substream.OBS)))
+            out = run_test(kernel.trial(r.seed), obs)
+            assert (out.tau, out.decision) == (r.tau, r.decision)
 
     def test_summary_schema(self, tmp_path):
         plan = _plan([_classical_variant()], n_trials=8)

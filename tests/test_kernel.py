@@ -213,22 +213,23 @@ def test_horizon_boundary(name, eps):
             assert (before.tau, before.decision, before.exhausted) == (out.tau - 1, None, True)
 
 
+# the private configs run with their noise swapped for zero noise
 ZERO_NOISE = {
     "classical": TestConfig(HYP, 0.05, 0.05, Classical()),
-    "laplace": TestConfig(HYP, 0.05, 0.05, Laplace(1.0), noise_override=NoiseSpec.zero()),
-    "gaussian": TestConfig(HYP, 0.05, 0.05, Gaussian(*gaussian_scales(1.0)), gamma=0.5,
-                           noise_override=NoiseSpec.zero()),
+    "laplace": TestConfig(HYP, 0.05, 0.05, Laplace(1.0)),
+    "gaussian": TestConfig(HYP, 0.05, 0.05, Gaussian(*gaussian_scales(1.0)), gamma=0.5),
     # a 0 bit crosses the lower threshold at n = 1 and a 1 bit the upper one
     "wide-budgets": TestConfig(HYP, 0.9, 0.9, Classical()),
 }
 
 
 @pytest.mark.parametrize("name", list(ZERO_NOISE))
-def test_zero_noise_kernel_matches_reference_mechanism(name, monkeypatch):
+def test_zero_noise_kernel_matches_reference_mechanism(name, monkeypatch, swap_noise):
     """Without noise nothing is left to luck: on the queries S_i/i and the
     thresholds of `threshold_lower` and `threshold_upper`, the scalar
     mechanism `outside_interval.run` and the kernel stop at the same step on
     the same side, at any chunk size and horizon."""
+    swap_noise(NoiseSpec.zero())
     cfg = ZERO_NOISE[name]
     schedule = outside_interval.ThresholdSchedule(
         functools.cache(lambda i: threshold_lower(cfg, i)),
@@ -390,7 +391,7 @@ def test_tables_match_thresholds_bit_for_bit(name):
 def _plan(n_trials, eps=5.0):
     cells = tuple(PlannedVariant(f"{name}@eps={eps:g}", cfg, eps)
                   for name, cfg in _configs(eps).items())
-    return ExperimentPlan(HYP.mu0, HYP.mu1, 0, cells, n_trials, 31)
+    return ExperimentPlan(0, cells, n_trials, 31)
 
 
 def test_records_do_not_depend_on_workers_or_blocks():

@@ -191,6 +191,14 @@ class TestCorrection:
         with pytest.raises(ValueError):
             correction(CorrectionParams(), NoiseFamily.LAPLACE, 5, 0.5)
 
+    def test_gaussian_needs_twice_delta_below_zeta(self):
+        """The Gaussian log argument at n = 1 is log zeta(s) - log(2 delta)."""
+        params = CorrectionParams(s=10.0, sigma_sum_sq=1.0)
+        with pytest.raises(ValueError, match="zeta"):
+            correction(params, NoiseFamily.GAUSSIAN, 1, 0.6)
+        assert correction(params, NoiseFamily.GAUSSIAN, 2, 0.6) > 0.0
+        assert correction(params, NoiseFamily.GAUSSIAN, 1, 0.49) > 0.0
+
 
 class TestCorrectionValidity:
     """Monte Carlo check of the summable-tail condition the corrections are

@@ -1,5 +1,7 @@
 """Dependency-free SVG chart writer."""
 
+import math
+
 import pytest
 
 from dpsprt.svg import write_line_chart
@@ -22,10 +24,29 @@ def test_writes_polyline_per_series(tmp_path):
 
 def test_single_point_series(tmp_path):
     path = tmp_path / "one.svg"
-    write_line_chart(path, {"only": [(1.0, 10.0)]}, "x", "y", logx=False, logy=False)
+    write_line_chart(path, {"only": [(1.0, 10.0)]}, "x", "y")
     assert "<circle" in path.read_text()
 
 
 def test_empty_series_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_line_chart(tmp_path / "none.svg", {}, "x", "y")
+
+
+def test_points_a_log_axis_cannot_place_are_left_out(tmp_path):
+    path = tmp_path / "part.svg"
+    write_line_chart(path, {"a": [(1.0, 10.0), (5.0, math.nan)], "b": [(1.0, math.inf)],
+                            "c": [(0.0, 3.0), (2.0, -1.0)]}, "x", "y")
+    text = path.read_text()
+    assert text.count("<circle") == 1 and text.count("<polyline") == 1
+    assert ">a</text>" in text and ">b</text>" not in text and ">c</text>" not in text
+    assert "nan" not in text and "inf" not in text
+
+
+def test_no_plottable_point_leaves_axes_and_labels(tmp_path):
+    path = tmp_path / "axes.svg"
+    write_line_chart(path, {"a": [(1.0, math.nan)], "b": []}, "epsilon", "tau")
+    text = path.read_text()
+    assert text.count("<line") == 2 and "epsilon" in text and "tau" in text
+    assert "<polyline" not in text and "<circle" not in text
+    assert text.endswith("</svg>\n")
