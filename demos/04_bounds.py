@@ -40,7 +40,7 @@ print(f"  closed_upper_h0 = {rep.closed_upper_h0:10.2f}   (log fixed-point close
 
 print("\nMonte Carlo sits inside the sandwich (1000 trials, Laplace eps=1):")
 plan = ExperimentPlan(
-    0, (PlannedVariant("laplace", TestConfig(hyp, alpha, beta, Laplace(1.0))),), 1000, 2024
+    (0,), (PlannedVariant("laplace", TestConfig(hyp, alpha, beta, Laplace(1.0))),), 1000, 2024
 )
 stats = run_experiment(plan)[0].stats
 print(f"  {rep.lower_h0:.1f}  <=  mean tau {stats.mean_tau:.1f}  <=  {rep.upper_h0:.1f}")

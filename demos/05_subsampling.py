@@ -27,7 +27,7 @@ print(f"{'eps':>6} {'rate':>6} {'laplace':>9} {'subsampled':>11} {'speedup':>8}"
 for eps in (0.1, 0.3, 1.0, 5.0):
     rate = default_subsample_rate(eps)
     plan = ExperimentPlan(
-        0,
+        (0,),
         (
             PlannedVariant("plain", TestConfig(hyp, alpha, beta, Laplace(eps))),
             PlannedVariant("sub", TestConfig(hyp, alpha, beta, LaplaceSub(eps, rate))),
@@ -41,7 +41,7 @@ for eps in (0.1, 0.3, 1.0, 5.0):
 print("\nerror control is preserved while subsampling (eps = 0.1, truth H0):")
 rate = default_subsample_rate(0.1)
 plan = ExperimentPlan(
-    0, (PlannedVariant("sub", TestConfig(hyp, alpha, beta, LaplaceSub(0.1, rate))),), trials, 78
+    (0,), (PlannedVariant("sub", TestConfig(hyp, alpha, beta, LaplaceSub(0.1, rate))),), trials, 78
 )
 stats = run_experiment(plan)[0].stats
 print(f"  empirical type I error = {stats.error_rate:.4f} (target {alpha})")
@@ -49,7 +49,7 @@ print(f"  empirical type I error = {stats.error_rate:.4f} (target {alpha})")
 print("\nrate sweep at eps = 0.1 (the default rule picks sqrt(eps/10)):")
 for rate in (0.02, 0.05, 0.1, 0.3, 1.0):
     plan = ExperimentPlan(
-        0, (PlannedVariant("sub", TestConfig(hyp, alpha, beta, LaplaceSub(0.1, rate))),), 200, 79
+        (0,), (PlannedVariant("sub", TestConfig(hyp, alpha, beta, LaplaceSub(0.1, rate))),), 200, 79
     )
     stats = run_experiment(plan)[0].stats
     print(f"  r = {rate:>5.2f}: mean tau = {stats.mean_tau:>7.0f}")

@@ -41,7 +41,7 @@ print(f"pilot errors: type I {cal.pilot_type1:.3f}, type II {cal.pilot_type2:.3f
       f"(targets {alpha}, {beta})\n")
 
 plan = ExperimentPlan(
-    0,
+    (0,),
     (
         PlannedVariant("laplace", TestConfig(hyp, alpha, beta, Laplace(eps))),
         PlannedVariant(

@@ -315,14 +315,16 @@ def calibrate_privsprt(
         dec0, dec1 = dec[:pilot_trials], dec[pilot_trials:]
         type1 = int(np.sum(dec0 == 1)) / max(int(np.sum(dec0 >= 0)), 1)
         type2 = int(np.sum(dec1 == 0)) / max(int(np.sum(dec1 >= 0)), 1)
-        decided_all = bool(np.all(dec >= 0))
-        if decided_all and type1 <= target_alpha and type2 <= target_beta:
+        undecided = int(np.sum(dec < 0))
+        if not undecided and type1 <= target_alpha and type2 <= target_beta:
             return CalibrationResult(a, b, type1, type2, pilot_trials)
-        gap = max(type1 - target_alpha, type2 - target_beta) if decided_all else math.inf
+        gap = math.inf if undecided else max(type1 - target_alpha, type2 - target_beta)
         if best is None or gap < best[0]:
-            best = (gap, a, b, type1, type2)
-    _, a, b, type1, type2 = best
+            best = (gap, a, b, type1, type2, undecided)
+    _, a, b, type1, type2, undecided = best
     raise CalibrationError(
         f"no feasible grid point; best attempt (a={a:.4g}, b={b:.4g}) had "
         f"type I {type1:.3f} vs {target_alpha} and type II {type2:.3f} vs {target_beta}"
+        + (f", with {undecided} of {2 * pilot_trials} pilot paths undecided at the horizon "
+           f"{cfg.horizon}" if undecided else "")
     )

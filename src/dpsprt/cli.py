@@ -235,48 +235,54 @@ def _parse(opts: dict[str, str]) -> dict:
     return values
 
 
-def _run_grid(v, truths, workers):
-    """Build the (variant family) x (epsilon grid) cells, each id once,
-    calibrate the PrivSPRT cells (a CalibrationError names the cell that
-    failed), and run the grid under each truth. Also returns the
-    manifest's record of the run: each PrivSPRT cell's calibration, and a
-    warning when kappa < 1, which is printed too."""
+def _variant(v, name, eps):
+    """The DP-SPRT variant `name` at `eps`."""
+    if name == "classical":
+        return Classical()
+    if name == "laplace":
+        return Laplace(eps)
+    if name == "laplace_sub":
+        return LaplaceSub(eps, v["rate"] if v["rate"] is not None else default_subsample_rate(eps))
+    sy, sz = gaussian_scales(eps, v["delta"])
+    var = sy * sy + sz * sz  # the correction needs it positive and finite
+    if not 0.0 < var < math.inf:
+        how = "large" if var == 0.0 else "small"
+        fate = "underflows to 0" if var == 0.0 else "overflows"
+        raise ConfigError(f"key 'eps': {eps:g} is too {how} for the gaussian "
+                          f"variant: its noise variance {fate}")
+    return Gaussian(sy, sz)
+
+
+def _build_plan(v, truths):
+    """The run's one plan: build the (variant family) x (epsilon grid)
+    cells, each id once, then calibrate the PrivSPRT cells (a
+    CalibrationError names the cell that failed), so that a config error
+    stops the run before any calibration. Also returns the manifest's
+    record of the run: each PrivSPRT cell's calibration, and a warning when
+    kappa < 1, which is printed too."""
     hyp = HypothesisPair.of(v["p0"], v["p1"])
-    alpha, beta, gamma, horizon = v["alpha"], v["beta"], v["gamma"], v["horizon"]
+    alpha, beta, horizon = v["alpha"], v["beta"], v["horizon"]
     params = CorrectionParams(s=v["s"], kappa=v["kappa"])
     cells = []
     for eps in v["eps"]:
+        # what a Laplace variant resolves an unset gamma to; classical ignores it
+        gamma = v["gamma"] if v["gamma"] is not None else default_gamma(eps)
         for name in v["variants"]:
             vid = f"{name}@eps={eps:g}"
             if any(cell.variant_id == vid for cell in cells):
                 key = "variants" if v["variants"].count(name) > 1 else "eps"
                 raise ConfigError(f"key {key!r}: the grid repeats the cell {vid!r}")
-            if name == "classical":
-                cfg = TestConfig(hyp, alpha, beta, Classical(), horizon=horizon)
-            elif name == "laplace":
-                cfg = TestConfig(hyp, alpha, beta, Laplace(eps), gamma=gamma,
-                                 correction=params, horizon=horizon)
-            elif name == "gaussian":
-                sy, sz = gaussian_scales(eps, v["delta"])
-                var = sy * sy + sz * sz  # the correction needs it positive and finite
-                if not 0.0 < var < math.inf:
-                    how = "large" if var == 0.0 else "small"
-                    fate = "underflows to 0" if var == 0.0 else "overflows"
-                    raise ConfigError(f"key 'eps': {eps:g} is too {how} for the gaussian "
-                                      f"variant: its noise variance {fate}")
-                g = gamma if gamma is not None else default_gamma(eps)
-                try:
-                    cfg = TestConfig(hyp, alpha, beta, Gaussian(sy, sz), gamma=g,
-                                     correction=params, horizon=horizon)
-                except ValueError as exc:  # the correction's domain
-                    key = "alpha" if alpha > beta else "beta"
-                    raise ConfigError(f"key {key!r}: {v[key]:g} is too large: {exc}") from None
-            elif name == "laplace_sub":
-                r = v["rate"] if v["rate"] is not None else default_subsample_rate(eps)
-                cfg = TestConfig(hyp, alpha, beta, LaplaceSub(eps, r), gamma=gamma,
-                                 correction=params, horizon=horizon)
-            else:
+            if name == "privsprt":
                 cfg = PrivSprtConfig.from_epsilon(hyp, eps, v["delta"], horizon=horizon)
+            else:
+                try:
+                    cfg = TestConfig(hyp, alpha, beta, _variant(v, name, eps), gamma=gamma,
+                                     correction=params, horizon=horizon)
+                except ValueError as exc:
+                    if name != "gaussian":  # the Laplace noise or correction overflows
+                        raise ConfigError(f"key 'eps': {exc}") from None
+                    key = "alpha" if alpha > beta else "beta"  # the correction's domain
+                    raise ConfigError(f"key {key!r}: {v[key]:g} is too large: {exc}") from None
             cells.append(PlannedVariant(vid, cfg, eps))
     calibration = {}
     for i, cell in enumerate(cells):
@@ -290,15 +296,11 @@ def _run_grid(v, truths, workers):
             calibration[cell.variant_id] = asdict(cal)
             cfg = replace(cell.config, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
             cells[i] = replace(cell, config=cfg)
-    results = []
-    for truth in truths:
-        plan = ExperimentPlan(truth, tuple(cells), v["trials"], v["seed"])
-        results.extend(run_experiment(plan, workers=workers))
     record = {"privsprt_calibration": calibration}
     if v["kappa"] < 1.0:
         record["warning"] = "kappa < 1: no formal correctness guarantee"
         print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
-    return cells, results, record
+    return ExperimentPlan(truths, tuple(cells), v["trials"], v["seed"]), record
 
 
 def _write_outputs(args, opts, writers: dict, extra=None) -> None:
@@ -318,52 +320,54 @@ def _write_outputs(args, opts, writers: dict, extra=None) -> None:
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
+_NOTE_KEYS = ("kind", "epsilon", "delta", "alpha_order", "tau_sq_source")
+
+
 def _guarantees(v, cells) -> dict:
-    """Each private cell's privacy guarantee, for the manifest."""
+    """Each private cell's privacy guarantee, for the manifest; a ConfigError
+    names the key that makes a Gaussian cell's RDP profile overflow."""
     notes = {}
     for cell in cells:
-        cfg = cell.config
-        if isinstance(cfg, PrivSprtConfig):
-            continue
-        var = cfg.variant
+        var = getattr(cell.config, "variant", None)  # a PrivSPRT cell has none
         if isinstance(var, (Laplace, LaplaceSub)):
-            notes[cell.variant_id] = {"kind": "pure_dp", "epsilon": var.epsilon,
-                                      "delta": 0.0, "alpha_order": None,
-                                      "tau_sq_source": None}
-        elif isinstance(var, Gaussian):
+            note = ("pure_dp", var.epsilon, 0.0, None, None)
+        elif not isinstance(var, Gaussian):
+            continue
+        elif v["tau_sq_bound"] is None and not v["accounting"]:
+            note = ("rdp", None, None, v["rdp_alpha"],
+                    "unavailable (pass --accounting or --tau-sq-bound)")
+        else:
             if v["tau_sq_bound"] is not None:
                 tsq, source = v["tau_sq_bound"], "asserted"
-            elif v["accounting"]:
+            else:
                 rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
-                est = estimate_tau_sq(cfg, 100, rng)
+                est = estimate_tau_sq(cell.config, 100, rng)
                 tsq = est.value
                 source = f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
-            else:
-                notes[cell.variant_id] = {
-                    "kind": "rdp", "epsilon": None, "delta": None,
-                    "alpha_order": v["rdp_alpha"],
-                    "tau_sq_source": "unavailable (pass --accounting or --tau-sq-bound)",
-                }
-                continue
-            eps_alpha = gaussian_rdp_profile(var.sigma_y, var.sigma_z, tsq, v["rdp_alpha"])
-            approx = rdp_to_approx_dp(lambda a: eps_alpha, v["rdp_alpha"], 2.0 * eps_alpha)
-            notes[cell.variant_id] = {
-                "kind": "rdp_to_approx_dp", "epsilon": approx.epsilon,
-                "delta": approx.delta, "alpha_order": v["rdp_alpha"],
-                "tau_sq_source": source,
-            }
+            try:  # ldexp doubles the profile, and raises where that overflows
+                eps_alpha = gaussian_rdp_profile(var.sigma_y, var.sigma_z, tsq, v["rdp_alpha"])
+                approx = rdp_to_approx_dp(lambda a: eps_alpha, v["rdp_alpha"],
+                                          math.ldexp(eps_alpha, 1))
+            except (ArithmeticError, ValueError):  # an overflow, or a variance underflows
+                key, value = ("tau_sq_bound", tsq) if 2 * tsq == math.inf else ("eps", cell.epsilon)
+                raise ConfigError(f"key {key!r}: {value:g} is too large: at rdp_alpha "
+                                  f"{v['rdp_alpha']:g} the RDP profile overflows") from None
+            note = ("rdp_to_approx_dp", approx.epsilon, approx.delta, v["rdp_alpha"], source)
+        notes[cell.variant_id] = dict(zip(_NOTE_KEYS, note))
     return notes
 
 
 def cmd_simulate(v, opts, args) -> int:
-    cells, results, record = _run_grid(v, v["truth"], args.workers)
+    plan, record = _build_plan(v, v["truth"])
+    guarantees = _guarantees(v, plan.variants)
+    results = run_experiment(plan, workers=args.workers)
     _write_outputs(
         args, opts,
         {
             "trials.csv": lambda p: write_trials_csv(p, results),
             "summary.csv": lambda p: write_summary_csv(p, results),
         },
-        {"privacy_guarantees": _guarantees(v, cells), **record},
+        {"privacy_guarantees": guarantees, **record},
     )
     print(f"wrote {len(results)} summary rows to {args.out}")
     return EXIT_OK
@@ -408,24 +412,21 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_compare(v, opts, args) -> int:
-    _, results, record = _run_grid(v, (0,), args.workers)
+    plan, record = _build_plan(v, (0,))
+    results = run_experiment(plan, workers=args.workers)
 
     rows = []
     for res in results:
-        family = res.variant.variant_id.split("@", 1)[0]
         s = res.stats
-        rows.append([res.variant.epsilon, family, s.mean_tau, s.tau_p5, s.tau_p95,
-                     s.error_rate, s.error_ci_halfwidth])
+        rows.append([res.variant.epsilon, res.variant.variant_id.split("@", 1)[0], s.mean_tau,
+                     s.tau_p5, s.tau_p95, s.error_rate, s.error_ci_halfwidth])
 
     def write_comparison(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["epsilon", "variant_id", "mean_tau", "tau_p5", "tau_p95",
                         "type1_hat", "type1_ci"])
-            for row in rows:
-                w.writerow([repr(float(row[0])), row[1]] + [
-                    repr(float(x)) if isinstance(x, float) else x for x in row[2:]
-                ])
+            w.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in rows)
 
     writers = {
         "trials.csv": lambda p: write_trials_csv(p, results),
@@ -451,23 +452,22 @@ def cmd_tune_kappa(v, opts, args) -> int:
     alpha, beta, eps = v["alpha"], v["beta"], v["tune_eps"]
     pilot_trials, confirm_trials = v["tune_pilot_trials"], v["tune_confirm_trials"]
 
+    try:  # every kappa's cell, before the first trial
+        cfgs = {kappa: TestConfig(hyp, alpha, beta, Laplace(eps), gamma=v["gamma"],
+                                  correction=CorrectionParams(s=v["s"], kappa=kappa),
+                                  horizon=v["horizon"]) for kappa in v["tune_kappa_grid"]}
+    except ValueError as exc:  # the Laplace noise or correction overflows
+        raise ConfigError(f"key 'tune_eps': {exc}") from None
+
     def errors_for(kappa: float, n_trials: int, tag: str) -> tuple[float, float]:
-        cfg = TestConfig(hyp, alpha, beta, Laplace(eps), gamma=v["gamma"],
-                         correction=CorrectionParams(s=v["s"], kappa=kappa),
-                         horizon=v["horizon"])
-        pair = []
-        for truth in (0, 1):
-            plan = ExperimentPlan(
-                truth, (PlannedVariant(f"tune:{tag}@kappa={kappa:g}", cfg, eps),),
-                n_trials, v["seed"],
-            )
-            res = run_experiment(plan, workers=args.workers)[0]
-            pair.append(res.stats.error_rate)
-        return pair[0], pair[1]
+        cell = PlannedVariant(f"tune:{tag}@kappa={kappa:g}", cfgs[kappa], eps)
+        plan = ExperimentPlan((0, 1), (cell,), n_trials, v["seed"])
+        h0, h1 = run_experiment(plan, workers=args.workers)
+        return h0.stats.error_rate, h1.stats.error_rate
 
     selected = None
     pilot_errors = None
-    for kappa in sorted(v["tune_kappa_grid"]):  # ascending: the smallest feasible kappa wins
+    for kappa in sorted(cfgs):  # ascending: the smallest feasible kappa wins
         e0, e1 = errors_for(kappa, pilot_trials, "pilot")
         if e0 <= alpha and e1 <= beta:
             selected, pilot_errors = kappa, (e0, e1)

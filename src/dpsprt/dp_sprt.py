@@ -134,7 +134,8 @@ class TestConfig:
     variants; the Gaussian variant needs an explicit gamma, and the
     classical variant ignores gamma. The variant sets the noise and the
     correction. A Gaussian test whose correction is undefined at n = 1, at
-    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), raises ValueError.
+    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), raises ValueError, as
+    does a Laplace test whose noise or correction overflows.
     """
 
     hypotheses: HypothesisPair
@@ -155,6 +156,15 @@ class TestConfig:
             raise ValueError("horizon must be a positive integer")
         if isinstance(self.variant, Gaussian) and self.gamma is not None:
             _corrections(_resolve(self), np.ones(1))  # raises outside the domain
+        elif isinstance(self.variant, (Laplace, LaplaceSub)):
+            # C(n, delta) peaks at some n <= 3, and no draw reaches 37 scales
+            res = _resolve(self)
+            with np.errstate(over="ignore"):
+                top = np.max(_corrections(res, np.arange(1.0, 4.0))) + 37.0 * (
+                    res.spec.scale_y + res.spec.scale_z)
+            if not np.isfinite(top):
+                raise ValueError(f"{self.variant.epsilon:g} is too small for the laplace "
+                                 "variants: their noise or correction overflows")
 
 
 def resolved_gamma(cfg: "TestConfig") -> float | None:

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo experiment engine.
 
-A plan names a ground-truth hypothesis, a list of test variants, each on
-its own instance, and a trial count. Trial i of variant v draws its
+A plan names the ground-truth hypotheses to run under, a list of test
+variants, each on its own instance, and a trial count. Trial i of variant v draws its
 observation and noise streams from keys derived injectively from (master_seed,
 variant_id, i), so results are bit-reproducible, independent of the order
 variants appear in the plan and of how many workers run the trials. Each
@@ -89,16 +89,17 @@ class PlannedVariant:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """`n_trials` trials of each cell under hypothesis `truth` of its own instance."""
+    """`n_trials` trials of each cell under each hypothesis in `truths` (0
+    or 1, each once) of the cell's own instance: one run, one job list."""
 
-    truth: int  # 0 or 1
+    truths: tuple[int, ...]
     variants: tuple[PlannedVariant, ...]
     n_trials: int
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.truth not in (0, 1):
-            raise ValueError("truth must be 0 or 1")
+        if self.truths not in ((0,), (1,), (0, 1), (1, 0)):
+            raise ValueError(f"truths must be (0,), (1,), (0, 1) or (1, 0), got {self.truths!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be a positive integer")
         ids = [v.variant_id for v in self.variants]
@@ -214,7 +215,9 @@ class ExperimentResult:
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentResult]:
-    """Run every (variant, trial) cell of the plan.
+    """Run every (truth, variant, trial) of the plan in one job list, and so
+    in one process pool at most; one result per (truth, variant), truth-major
+    in the plan's order.
 
     Aggregation is a deterministic reduction over trial indices, so the
     results are identical at any worker count.
@@ -222,13 +225,14 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRes
     if workers < 1:
         raise ValueError("workers must be a positive integer")
     n = plan.n_trials
+    cells = [(truth, variant) for truth in plan.truths for variant in plan.variants]
     # one block per cell at one worker; with more, about eight blocks per
     # worker over the plan, so that slow cells spread across the pool
-    per_cell = 1 if workers <= 1 else min(n, math.ceil(8 * workers / max(1, len(plan.variants))))
+    per_cell = 1 if workers <= 1 else min(n, math.ceil(8 * workers / max(1, len(cells))))
     bounds = [n * k // per_cell for k in range(per_cell + 1)]
     jobs = [
-        (plan.truth, variant, plan.master_seed, start, stop)
-        for variant in plan.variants
+        (truth, variant, plan.master_seed, start, stop)
+        for truth, variant in cells
         for start, stop in zip(bounds, bounds[1:])
     ]
     if workers > 1 and len(jobs) > 1:
@@ -237,13 +241,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRes
     else:
         blocks = [_run_block(job) for job in jobs]
     records = [rec for block in blocks for rec in block]
-    results = []
-    for i, variant in enumerate(plan.variants):
-        recs = records[i * plan.n_trials : (i + 1) * plan.n_trials]
-        results.append(
-            ExperimentResult(variant, plan.truth, _aggregate(recs, plan.truth), tuple(recs))
-        )
-    return results
+    groups = [records[i * n : (i + 1) * n] for i in range(len(cells))]
+    return [ExperimentResult(variant, truth, _aggregate(recs, truth), tuple(recs))
+            for (truth, variant), recs in zip(cells, groups)]
 
 
 def _fmt(value) -> str:
@@ -256,22 +256,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _variant_fields(variant: PlannedVariant) -> dict:
+def _variant_fields(variant: PlannedVariant) -> list[str]:
+    """The alpha, beta, gamma, epsilon, r and kappa columns of a cell's rows."""
     cfg = variant.config
     if isinstance(cfg, PrivSprtConfig):
-        return {
-            "alpha": None, "beta": None, "gamma": None,
-            "epsilon": variant.epsilon, "r": None, "kappa": None,
-        }
+        return [_fmt(x) for x in (None, None, None, variant.epsilon, None, None)]
     v = cfg.variant
-    return {
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "gamma": resolved_gamma(cfg),
-        "epsilon": variant.epsilon,
-        "r": v.rate if isinstance(v, LaplaceSub) else None,
-        "kappa": cfg.correction.kappa if not isinstance(v, Classical) else None,
-    }
+    return [_fmt(x) for x in (
+        cfg.alpha, cfg.beta, resolved_gamma(cfg), variant.epsilon,
+        v.rate if isinstance(v, LaplaceSub) else None,
+        cfg.correction.kappa if not isinstance(v, Classical) else None,
+    )]
 
 
 def write_trials_csv(path, results: Iterable[ExperimentResult]) -> None:
@@ -281,19 +276,12 @@ def write_trials_csv(path, results: Iterable[ExperimentResult]) -> None:
         w = csv.writer(fh)
         w.writerow(TRIAL_COLUMNS)
         for res in results:
-            base = _variant_fields(res.variant)
             hyp = res.variant.config.hypotheses
+            head = [res.variant.variant_id, f"H{res.truth}", _fmt(hyp.mu0), _fmt(hyp.mu1),
+                    *_variant_fields(res.variant)]
             for r in res.trials:
-                w.writerow([
-                    res.variant.variant_id,
-                    f"H{res.truth}",
-                    _fmt(hyp.mu0), _fmt(hyp.mu1),
-                    _fmt(base["alpha"]), _fmt(base["beta"]), _fmt(base["gamma"]),
-                    _fmt(base["epsilon"]), _fmt(base["r"]), _fmt(base["kappa"]),
-                    r.trial, r.tau,
-                    _fmt(r.decision), int(r.exhausted),
-                    r.seed & 0xFFFFFFFF, r.seed >> 32,
-                ])
+                w.writerow([*head, r.trial, r.tau, _fmt(r.decision), int(r.exhausted),
+                            r.seed & 0xFFFFFFFF, r.seed >> 32])
 
 
 def write_summary_csv(path, results: Iterable[ExperimentResult]) -> None:

@@ -76,15 +76,23 @@ def _variants():
     return [PlannedVariant(vid, cfg, eps) for vid, cfg, eps in cells]
 
 
+def _grid_stats():
+    """stats[(variant_id, truth)] -> BatchStats over 1000 trials, from one
+    plan over both truths."""
+    plan = ExperimentPlan((0, 1), tuple(_variants()), N_TRIALS, MASTER_SEED)
+    return {(res.variant.variant_id, res.truth): res.stats for res in run_experiment(plan)}
+
+
 @pytest.fixture(scope="module")
 def grid():
-    """stats[(variant_id, truth)] -> BatchStats over 1000 trials."""
-    out = {}
-    for truth in (0, 1):
-        plan = ExperimentPlan(truth, tuple(_variants()), N_TRIALS, MASTER_SEED)
-        for res in run_experiment(plan):
-            out[(res.variant.variant_id, truth)] = res.stats
-    return out
+    return _grid_stats()
+
+
+def test_grid_is_one_plan(monkeypatch):
+    plans = []
+    monkeypatch.setitem(globals(), "run_experiment", lambda plan: plans.append(plan) or [])
+    _grid_stats()
+    assert [(p.truths, len(p.variants)) for p in plans] == [((0, 1), 10)]
 
 
 def _pooled_se(a, b) -> float:
@@ -150,7 +158,7 @@ def test_criterion_05_privsprt_comparison(grid):
         rng = derive(StreamKey(MASTER_SEED, fnv1a64(vid), 0, Substream.PILOT))
         cal = calibrate_privsprt(base, ALPHA, BETA, pilot_trials=100, rng=rng)
         cfg = replace(base, thresh_a=cal.thresh_a, thresh_b=cal.thresh_b)
-        plan = ExperimentPlan(0, (PlannedVariant(vid, cfg, eps),), N_TRIALS, MASTER_SEED)
+        plan = ExperimentPlan((0,), (PlannedVariant(vid, cfg, eps),), N_TRIALS, MASTER_SEED)
         priv = run_experiment(plan)[0].stats
         lap = grid[(f"laplace@eps={eps:g}", 0)]
         slack = _pooled_se(lap, priv)

@@ -262,32 +262,33 @@ def _reference_calibrate(cfg, target_alpha, target_beta, grid, pilot_trials, rng
     paths1 = [path(hyp.mu1) for _ in range(pilot_trials)]
 
     def errors_at(a, b):
-        decided_all = True
         for path in paths0 + paths1:
-            decided_all &= path.ensure_decided(a, b)
+            path.ensure_decided(a, b)
         dec0 = [p.decision(a, b) for p in paths0]
         dec1 = [p.decision(a, b) for p in paths1]
         n0 = max(sum(d >= 0 for d in dec0), 1)
         n1 = max(sum(d >= 0 for d in dec1), 1)
         type1 = sum(d == 1 for d in dec0) / n0
         type2 = sum(d == 0 for d in dec1) / n1
-        return type1, type2, decided_all
+        return type1, type2, sum(d < 0 for d in dec0 + dec1)
 
     best = None
     for a, b in sorted(grid, key=lambda g: (g[0] + g[1], g[0])):
-        type1, type2, decided_all = errors_at(a, b)
-        if decided_all and type1 <= target_alpha and type2 <= target_beta:
+        type1, type2, undecided = errors_at(a, b)
+        if not undecided and type1 <= target_alpha and type2 <= target_beta:
             return CalibrationResult(a, b, type1, type2, pilot_trials)
         gap = max(type1 - target_alpha, type2 - target_beta)
-        if not decided_all:
+        if undecided:
             gap = math.inf
         if best is None or gap < best[0]:
-            best = (gap, a, b, type1, type2)
-    _, a, b, type1, type2 = best
-    raise CalibrationError(
-        f"no feasible grid point; best attempt (a={a:.4g}, b={b:.4g}) had "
-        f"type I {type1:.3f} vs {target_alpha} and type II {type2:.3f} vs {target_beta}"
-    )
+            best = (gap, a, b, type1, type2, undecided)
+    _, a, b, type1, type2, undecided = best
+    message = (f"no feasible grid point; best attempt (a={a:.4g}, b={b:.4g}) had "
+               f"type I {type1:.3f} vs {target_alpha} and type II {type2:.3f} vs {target_beta}")
+    if undecided:
+        message += (f", with {undecided} of {2 * pilot_trials} pilot paths undecided at "
+                    f"the horizon {cfg.horizon}")
+    raise CalibrationError(message)
 
 
 def _outcome(calibrate, cfg, grid, targets=(1.0, 1.0), pilots=40, seed=81, **kw):

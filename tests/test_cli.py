@@ -377,6 +377,18 @@ class TestCompare:
         assert "calibration failed: privsprt@eps=1: no feasible grid point" in err
         assert not (tmp_path / "x").exists()  # no partial results
 
+    def test_calibration_failure_names_undecided_pilots(self, tmp_path, capsys):
+        """Both pilot errors are under target here; the point fails because
+        pilots are still undecided at the horizon, and the message says so."""
+        rc = main(["simulate", "--variants", "privsprt", "--eps", "1e300", "--horizon", "10",
+                   "--trials", "2", "--seed", "0", "--workers", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "type I 0.015 vs 0.05 and type II 0.014 vs 0.05" in err
+        assert "with 64 of 200 pilot paths undecided at the horizon 10" in err
+        assert not (tmp_path / "x").exists()
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -456,6 +468,14 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["tune-kappa", "--pilot-trials", "5", "--confirm-trials", "5"], {"tune_eps": "abc"}),
     (["simulate", "--trials", "5", "--eps", "5,1e300", "--variants", "classical,gaussian"], None),
     (["simulate", "--trials", "5", "--eps", "5,1e-300", "--variants", "classical,gaussian"], None),
+    (["simulate", "--trials", "2", "--horizon", "10", "--eps", "1e-308", "--variants",
+      "laplace"], None),
+    (["simulate", "--trials", "2", "--horizon", "10", "--eps", "5,1e-320", "--variants",
+      "classical,laplace_sub"], None),
+    (["compare", "--trials", "2", "--horizon", "10", "--eps", "1e-308", "--variants",
+      "laplace"], None),
+    (["tune-kappa", "--eps", "1e-320", "--pilot-trials", "2", "--confirm-trials", "2",
+      "--horizon", "10"], None),
     (["simulate", "--trials", "3", "--eps", "1", "--variants", "gaussian", "--beta", "0.6",
       "--s", "10"], None),
     (["simulate", "--trials", "3", "--eps", "1", "--variants", "gaussian", "--alpha", "0.01",
@@ -463,7 +483,9 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
 ], ids=["tau_sq_bound-negative", "tau_sq_bound-below-1", "tau_sq_bound-inf",
         "rdp_alpha-0", "rdp_alpha-1", "accounting-cfg", "svg-cfg",
         "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow",
-        "gaussian-variance-overflow", "gaussian-domain-s", "gaussian-domain-beta"])
+        "gaussian-variance-overflow", "laplace-overflow", "laplace_sub-overflow",
+        "compare-laplace-overflow", "tune-kappa-laplace-overflow", "gaussian-domain-s",
+        "gaussian-domain-beta"])
 def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     """A bad value from a flag, a config line or a manifest exits 2 before
     the first trial, so no output directory appears."""
@@ -490,6 +512,14 @@ def test_gaussian_variance_out_of_range_names_eps(tmp_path, capsys, eps, fate):
     assert "key 'eps'" in err and fate in err
 
 
+def _no_trials(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+
+
 @pytest.mark.parametrize("argv, key", [
     (["--beta", "0.6", "--s", "10"], "beta"),
     (["--alpha", "0.01", "--beta", "0.95"], "beta"),
@@ -499,11 +529,7 @@ def test_gaussian_correction_domain_names_the_key(tmp_path, capsys, monkeypatch,
     """Past 2 * (1 - gamma) * max(alpha, beta) >= zeta(s) the Gaussian
     correction is undefined at n = 1: exit 2 naming the larger error target,
     before any calibration or trial."""
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "run_experiment", no_trials)
-    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+    _no_trials(monkeypatch)
     out = tmp_path / "out"
     rc = main(["simulate", "--variants", "laplace,privsprt,gaussian", "--eps", "1",
                "--trials", "3", *argv, "--workers", "1", "--out", str(out)])
@@ -511,6 +537,101 @@ def test_gaussian_correction_domain_names_the_key(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert f"config error: key {key!r}" in err and "zeta(s)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--variants", "laplace,privsprt", "--eps", "1e-308", "--trials", "2"], "eps"),
+    (["simulate", "--variants", "laplace_sub", "--eps", "1e-320", "--trials", "2"], "eps"),
+    (["compare", "--variants", "classical,laplace", "--eps", "5,1e-308", "--trials", "2"], "eps"),
+    (["tune-kappa", "--eps", "1e-320", "--kappa-grid", "0.5,1"], "tune_eps"),
+])
+def test_laplace_overflow_names_eps(tmp_path, capsys, monkeypatch, argv, key):
+    """An eps whose Laplace noise or correction overflows exits 2 naming
+    its key, before any calibration or trial."""
+    _no_trials(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv + ["--horizon", "10", "--workers", "1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: key {key!r}" in err and "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--eps", "1e155", "--tau-sq-bound", "10"], "eps"),
+    (["--eps", "1e155", "--accounting"], "eps"),
+    (["--eps", "8e162", "--tau-sq-bound", "10"], "eps"),  # sigma_z^2 underflows to 0
+    (["--eps", "1", "--tau-sq-bound", "1e308"], "tau_sq_bound"),
+    # the profile is finite, but twice it, the conversion's target, is not
+    (["--eps", "10", "--tau-sq-bound", "10", "--rdp-alpha", "1e308"], "eps"),
+])
+def test_gaussian_profile_overflow_names_the_key(tmp_path, capsys, monkeypatch, argv, key):
+    """A Gaussian RDP profile that overflows exits 2 naming the key, before
+    the first trial: guarantees are settled before the trials run."""
+    _no_trials(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--variants", "laplace,gaussian", *argv, "--trials", "1",
+               "--horizon", "10", "--workers", "1", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: key {key!r}" in err and "the RDP profile overflows" in err
+    assert not out.exists()
+
+
+def test_simulate_both_truths_is_one_plan_and_one_pool(tmp_path, monkeypatch):
+    """`--truth both` runs one plan over both truths: one run_experiment
+    call and, at 2 workers, one process pool. The fake pool runs the blocks
+    in this process, so no worker is started."""
+    from dpsprt import harness
+
+    plans, pools = [], []
+    real = cli.run_experiment
+
+    def counted(plan, workers):
+        plans.append(plan.truths)
+        return real(plan, workers=workers)
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "run_experiment", counted)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "both"
+    assert main(["simulate", "--truth", "both", "--trials", "4", "--eps", "5",
+                 "--variants", "classical,laplace", "--workers", "2", "--out", str(out)]) == EXIT_OK
+    assert plans == [(0, 1)] and pools == [2]
+    with (out / "summary.csv").open() as fh:
+        assert [r["truth"] for r in csv.DictReader(fh)] == ["H0", "H0", "H1", "H1"]
+
+
+def test_tune_kappa_runs_one_plan_per_kappa(monkeypatch, capsys):
+    """Each kappa tried is one run_experiment call over both truths, and
+    so is the confirmation."""
+    truths = []
+    real = cli.run_experiment
+
+    def counted(plan, workers):
+        truths.append(plan.truths)
+        return real(plan, workers=workers)
+
+    monkeypatch.setattr(cli, "run_experiment", counted)
+    grid = [0.1, 0.2, 0.3, 1.0]
+    assert main(["tune-kappa", "--eps", "1", "--kappa-grid", ",".join(map(str, grid)),
+                 "--pilot-trials", "40", "--confirm-trials", "40", "--seed", "5",
+                 "--workers", "1"]) == EXIT_OK
+    selected = json.loads(capsys.readouterr().out)["selected_kappa"]
+    tried = sum(k <= selected for k in grid)
+    assert tried > 1
+    assert truths == [(0, 1)] * (tried + 1)
 
 
 # one value per key that its parser rejects
@@ -534,11 +655,7 @@ def test_every_key_is_parsed_before_its_subcommand_runs(tmp_path, capsys, monkey
                                                         command, key):
     """A bad value of any key a subcommand takes exits 2 and names the key,
     and neither a trial nor a calibration starts."""
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "run_experiment", no_trials)
-    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+    _no_trials(monkeypatch)
     config = tmp_path / "manifest.json"
     config.write_text(json.dumps({"config": {key: BAD_VALUES[key]}}))
     out = tmp_path / "out"
@@ -559,11 +676,7 @@ def test_repeated_grid_cell_fails_before_calibration(tmp_path, capsys, monkeypat
                                                     argv, key, cell):
     """A grid that would hold one cell id twice exits 2, naming the key and
     the cell, before any calibration or trial starts."""
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "run_experiment", no_trials)
-    monkeypatch.setattr(cli, "calibrate_privsprt", no_trials)
+    _no_trials(monkeypatch)
     out = tmp_path / "out"
     assert main([command, *argv, "--out", str(out), "--workers", "1"]) == EXIT_CONFIG
     err = capsys.readouterr().err

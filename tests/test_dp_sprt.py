@@ -100,6 +100,23 @@ class TestDefaults:
         lap = TestConfig(HYP, alpha, beta, Laplace(1.0), gamma=gamma, correction=params)
         assert math.isfinite(threshold_upper(lap, 1))
 
+    @pytest.mark.parametrize("variant", [Laplace(1e-308), LaplaceSub(1e-320, 0.5),
+                                         Laplace(1e-306)], ids=["scale", "sub", "draw"])
+    def test_laplace_overflow_fails_at_construction(self, variant):
+        """An epsilon so small that the noise scale 4/eps, a noise draw or
+        the correction overflows fails at construction: at 1e-306 both
+        scales are finite, but a draw of up to 37 scales is not."""
+        with pytest.raises(ValueError, match="overflows"):
+            TestConfig(HYP, 0.05, 0.05, variant)
+
+    @pytest.mark.parametrize("variant", [Laplace(1e-305), LaplaceSub(1e-305, 0.5)])
+    def test_smallest_laplace_epsilon_runs_finite(self, variant):
+        """Just above that edge a run computes without a numpy overflow
+        (RuntimeWarning fails the test) and exhausts its horizon."""
+        cfg = TestConfig(HYP, 0.05, 0.05, variant, horizon=300)
+        for bit in (0, 1):
+            assert run_test(cfg, itertools.repeat(bit)).exhausted
+
     def test_resolved_gamma(self):
         assert resolved_gamma(_classical()) is None
         assert resolved_gamma(TestConfig(HYP, 0.05, 0.05, Laplace(5.0))) == 0.5

@@ -39,7 +39,7 @@ def test_trial_seeds_match_the_scalar_formula():
 
 
 def _plan(variants, truth=0, n_trials=40, seed=2024):
-    return ExperimentPlan(truth, tuple(variants), n_trials, seed)
+    return ExperimentPlan((truth,), tuple(variants), n_trials, seed)
 
 
 def _classical_variant(vid="classical", eps=None):
@@ -191,8 +191,9 @@ class TestRunExperiment:
             _plan([PlannedVariant("privsprt", PrivSprtConfig(HYP, 1.0, 1.0))])
         with pytest.raises(ValueError):
             _plan([_classical_variant(), _classical_variant()])  # duplicate ids
-        with pytest.raises(ValueError):
-            ExperimentPlan(2, (_classical_variant(),), 10, 0)
+        for truths in (2, (), (0, 0), (2,)):
+            with pytest.raises(ValueError, match="truths"):
+                ExperimentPlan(truths, (_classical_variant(),), 10, 0)
 
 
 class TestCsvOutput:

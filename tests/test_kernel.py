@@ -388,10 +388,21 @@ def test_tables_match_thresholds_bit_for_bit(name):
     assert sizes == [128, 384, 896, 1920, 3968, 8064, horizon]
 
 
-def _plan(n_trials, eps=5.0):
+def _plan(n_trials, eps=5.0, truths=(0,)):
     cells = tuple(PlannedVariant(f"{name}@eps={eps:g}", cfg, eps)
                   for name, cfg in _configs(eps).items())
-    return ExperimentPlan(0, cells, n_trials, 31)
+    return ExperimentPlan(truths, cells, n_trials, 31)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_plan_over_both_truths_equals_a_plan_per_truth(workers):
+    """A plan over truths (0, 1) gives, record for record, what one plan
+    per truth gives, truth-major in the plan's order, at any worker count;
+    its cells include PrivSPRT and the subsampled rule."""
+    apart = [run_experiment(_plan(23, truths=(t,)), workers=1) for t in (0, 1)]
+    assert run_experiment(_plan(23, truths=(0, 1)), workers=workers) == apart[0] + apart[1]
+    assert run_experiment(_plan(23, truths=(1, 0)), workers=workers) == apart[1] + apart[0]
+    assert {r.variant.variant_id.split("@")[0] for r in apart[0]} >= {"privsprt", "laplace_sub"}
 
 
 def test_records_do_not_depend_on_workers_or_blocks():
