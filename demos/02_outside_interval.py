@@ -14,7 +14,7 @@ from dpsprt import (
     StreamKey,
     ThresholdSchedule,
     derive,
-    epsilon_dp_cost,
+    laplace_budget,
     run_outside_interval,
 )
 
@@ -37,7 +37,8 @@ for trial in range(5):
 
 eps_z = 1.0 / spec.scale_z      # sensitivity 1 against the threshold noise
 eps_y = 2.0 / spec.scale_y      # sensitivity 2 against the query noise
-print(f"\nprivacy budget: eps_Z + eps_Y = {eps_z} + {eps_y} = {epsilon_dp_cost(eps_z, eps_y)}")
+budget = laplace_budget(spec.scale_y, spec.scale_z)
+print(f"\nprivacy budget: eps_Z + eps_Y = {eps_z} + {eps_y} = {budget}")
 
 print("\nfinite horizon reports exhaustion instead of inventing a side:")
 flat = list(np.zeros(50))

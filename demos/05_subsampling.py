@@ -1,10 +1,10 @@
-"""Privacy amplification by subsampling in the high-privacy regime.
+"""Subsampled against plain Laplace stopping times.
 
-Keeping each observation with probability r amplifies privacy, so the same
-overall budget needs proportionally less injected noise and a smaller
-correction. The cost is a noisier empirical mean. At tight budgets the
-noise reduction wins by a wide margin; as the budget loosens, the optimal
-rate drifts toward keeping everything.
+The subsampled variant keeps each observation with probability r and
+shrinks its noise by r as if subsampling amplified privacy. It does not:
+a stop at step 1 reveals that observation 1 was kept, so these cells carry
+no privacy guarantee (README, "Privacy guarantees"), and the speed-up
+below is not a like-for-like comparison at the same eps.
 """
 
 from dpsprt import (

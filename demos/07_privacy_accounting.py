@@ -24,24 +24,25 @@ hyp = HypothesisPair.of(0.3, 0.7)
 eps = 1.0
 
 print("Laplace accounting is closed form:")
-print(f"  default scales at eps = {eps}: {laplace_budget(eps)}")
-print(f"  custom scales (z = 4, y = 4):  {laplace_budget(scale_y=4.0, scale_z=4.0)}")
+print(f"  default scales at eps = {eps}: {laplace_budget(4.0 / eps, 2.0 / eps)}")
+print(f"  custom scales (z = 4, y = 4):  {laplace_budget(4.0, 4.0)}")
 
 print("\nGaussian accounting needs a bound on E[tau^2]:")
 sy, sz = gaussian_scales(eps, 1e-5)
 cfg = TestConfig(hyp, 0.05, 0.05, Gaussian(sy, sz), gamma=default_gamma(eps))
-est = estimate_tau_sq(cfg, 200, derive(StreamKey(11)))
-print(f"  pilot estimate from {est.n_pilot} runs per hypothesis: "
-      f"E[tau^2] <= {est.value:.0f} (source: {est.source}, reliable: {est.reliable})")
+n_pilot = 200
+tau_sq, reliable = estimate_tau_sq(cfg, n_pilot, derive(StreamKey(11)))
+print(f"  pilot estimate from {n_pilot} runs per hypothesis: "
+      f"E[tau^2] <= {tau_sq:.0f} (source: pilot, reliable: {reliable})")
 
 print("\n  Renyi profile at a few orders (using the pilot estimate):")
 for order in (1.5, 2.0, 4.0, 16.0):
-    val = gaussian_rdp_profile(sy, sz, est.value, order)
+    val = gaussian_rdp_profile(sy, sz, tau_sq, order)
     print(f"    alpha = {order:>4}: eps(alpha) = {val:.3f}")
 
 order = 2.0
-profile_val = gaussian_rdp_profile(sy, sz, est.value, order)
-approx = rdp_to_approx_dp(lambda a: profile_val, order, 2 * profile_val)
-print(f"\n  converted at order {order}: ({approx.epsilon:.3f}, {approx.delta:.2e})-DP")
+profile_val = gaussian_rdp_profile(sy, sz, tau_sq, order)
+eps_dp, delta = rdp_to_approx_dp(profile_val, order, 2 * profile_val)
+print(f"\n  converted at order {order}: ({eps_dp:.3f}, {delta:.2e})-DP")
 print("  the tau^2 term came from a pilot estimate, not a certified bound;"
       " assert one explicitly for a formal claim")

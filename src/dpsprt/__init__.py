@@ -30,7 +30,6 @@ from .outside_interval import (
     Side,
     StreamExhaustedError,
     ThresholdSchedule,
-    epsilon_dp_cost,
 )
 from .outside_interval import run as run_outside_interval
 from .dp_sprt import (
@@ -48,9 +47,6 @@ from .dp_sprt import (
     threshold_upper,
 )
 from .privacy_accounting import (
-    ApproxDP,
-    PureDP,
-    TauSqEstimate,
     estimate_tau_sq,
     gaussian_rdp_profile,
     laplace_budget,
@@ -85,4 +81,4 @@ from .harness import (
 )
 from .rngcore import StreamKey, Substream, derive
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

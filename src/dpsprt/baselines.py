@@ -177,8 +177,11 @@ def run_privsprt(cfg: PrivSprtConfig | Trial, observations: Iterable[int]) -> Te
 
     Per step the clamped log-likelihood ratio joins the running sum; the
     upper comparison statistic + Y1 >= b + Z1 is checked first (decision 1),
-    then statistic + Y2 <= -a + Z2 (decision 0). In place of a config, `cfg`
-    may be a prepared kernel's `trial(seed)`.
+    then statistic + Y2 <= -a + Z2 (decision 0). The caller supplies the
+    observations; the noise streams derive from cfg.seed. In place of a
+    config, `cfg` may be a prepared kernel's `trial(seed)`; the harness keys
+    each trial that way by (master_seed, cell, trial), so cfg.seed matters
+    only to a run on a bare config.
     """
     if isinstance(cfg, PrivSprtConfig):
         cfg = PrivSprtKernel(cfg).trial(cfg.seed)

@@ -329,8 +329,10 @@ def _guarantees(v, cells) -> dict:
     notes = {}
     for cell in cells:
         var = getattr(cell.config, "variant", None)  # a PrivSPRT cell has none
-        if isinstance(var, (Laplace, LaplaceSub)):
+        if isinstance(var, Laplace):
             note = ("pure_dp", var.epsilon, 0.0, None, None)
+        elif isinstance(var, LaplaceSub):  # a stop at step 1 shows observation 1 was kept
+            note = ("unaccounted", None, None, None, None)
         elif not isinstance(var, Gaussian):
             continue
         elif v["tau_sq_bound"] is None and not v["accounting"]:
@@ -341,18 +343,16 @@ def _guarantees(v, cells) -> dict:
                 tsq, source = v["tau_sq_bound"], "asserted"
             else:
                 rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
-                est = estimate_tau_sq(cell.config, 100, rng)
-                tsq = est.value
-                source = f"pilot:{est.n_pilot}" + ("" if est.reliable else ":unreliable")
+                tsq, reliable = estimate_tau_sq(cell.config, 100, rng)
+                source = "pilot:100" + ("" if reliable else ":unreliable")
             try:  # ldexp doubles the profile, and raises where that overflows
                 eps_alpha = gaussian_rdp_profile(var.sigma_y, var.sigma_z, tsq, v["rdp_alpha"])
-                approx = rdp_to_approx_dp(lambda a: eps_alpha, v["rdp_alpha"],
-                                          math.ldexp(eps_alpha, 1))
+                eps, delta = rdp_to_approx_dp(eps_alpha, v["rdp_alpha"], math.ldexp(eps_alpha, 1))
             except (ArithmeticError, ValueError):  # an overflow, or a variance underflows
                 key, value = ("tau_sq_bound", tsq) if 2 * tsq == math.inf else ("eps", cell.epsilon)
                 raise ConfigError(f"key {key!r}: {value:g} is too large: at rdp_alpha "
                                   f"{v['rdp_alpha']:g} the RDP profile overflows") from None
-            note = ("rdp_to_approx_dp", approx.epsilon, approx.delta, v["rdp_alpha"], source)
+            note = ("rdp_to_approx_dp", eps, delta, v["rdp_alpha"], source)
         notes[cell.variant_id] = dict(zip(_NOTE_KEYS, note))
     return notes
 

@@ -92,7 +92,9 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class LaplaceSub:
-    """Laplace variant with Bernoulli(rate) subsampling of the observations."""
+    """Laplace variant with Bernoulli(rate) subsampling of the observations.
+    No privacy guarantee is claimed for it: a stop at step 1 reveals that
+    observation 1 was kept, so subsampling does not amplify privacy."""
 
     epsilon: float
     rate: float
@@ -133,9 +135,10 @@ class TestConfig:
     `gamma=None` resolves to the default allocation rule for the Laplace
     variants; the Gaussian variant needs an explicit gamma, and the
     classical variant ignores gamma. The variant sets the noise and the
-    correction. A Gaussian test whose correction is undefined at n = 1, at
-    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), raises ValueError, as
-    does a Laplace test whose noise or correction overflows.
+    correction. A Gaussian test without gamma, or whose correction is
+    undefined at n = 1, at 2 * (1 - gamma) * max(alpha, beta) >= zeta(s),
+    raises ValueError, as does a Laplace test whose noise or correction
+    overflows.
     """
 
     hypotheses: HypothesisPair
@@ -154,8 +157,8 @@ class TestConfig:
             raise ValueError("gamma must lie in (0,1)")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        if isinstance(self.variant, Gaussian) and self.gamma is not None:
-            _corrections(_resolve(self), np.ones(1))  # raises outside the domain
+        if isinstance(self.variant, Gaussian):
+            _corrections(_resolve(self), np.ones(1))  # raises without gamma or outside the domain
         elif isinstance(self.variant, (Laplace, LaplaceSub)):
             # C(n, delta) peaks at some n <= 3, and no draw reaches 37 scales
             res = _resolve(self)
@@ -471,11 +474,13 @@ def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcom
     """Run the test on a bit stream until a decision or the horizon.
 
     Z is drawn once up front; each step consumes one observation and one
-    fresh Y. The lower comparison is evaluated before the upper one.
-    Observation, Y, and Z streams derive from cfg.seed independently, so
-    identical (cfg, stream) inputs replay the identical outcome. In place
-    of a config, `cfg` may be a prepared kernel's `trial(seed)`, which
-    gives what the config with that seed gives.
+    fresh Y. The lower comparison is evaluated before the upper one. The
+    caller supplies the observations; the Y and Z streams derive from
+    cfg.seed, so identical (cfg, observations) inputs replay the identical
+    outcome. In place of a config, `cfg` may be a prepared kernel's
+    `trial(seed)`, which gives what the config with that seed gives; the
+    harness keys each trial that way by (master_seed, cell, trial), so
+    cfg.seed matters only to a run on a bare config.
 
     The reader buffers ahead of the stopping point for speed; treat the
     observation iterable as owned by this run and do not reuse it.

@@ -21,7 +21,6 @@ __all__ = [
     "IntervalOutcome",
     "StreamExhaustedError",
     "run",
-    "epsilon_dp_cost",
 ]
 
 
@@ -95,14 +94,3 @@ def run(
         if noisy >= schedule.upper(i) + z:
             return IntervalOutcome(i, Side.TOP1, False)
     return IntervalOutcome(horizon, None, True)
-
-
-def epsilon_dp_cost(eps_z: float, eps_y: float) -> float:
-    """Total pure-DP budget of one run: eps_z + eps_y.
-
-    The caller asserts eps_z holds at the query sensitivity and eps_y at
-    twice the query sensitivity.
-    """
-    if eps_z < 0.0 or eps_y < 0.0:
-        raise ValueError("privacy budgets must be nonnegative")
-    return eps_z + eps_y

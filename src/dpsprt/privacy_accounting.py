@@ -4,68 +4,33 @@ Laplace runs carry a pure DP budget. Gaussian runs carry a Renyi DP
 profile whose data-dependent term needs an upper bound on the squared
 conditional expectation of the stopping time; that bound is never
 defaulted silently, it is either asserted by the caller or estimated from
-pilot runs and labeled as such.
+pilot runs and labeled as such. Every guarantee is a plain float, or a
+pair of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .dp_sprt import TestConfig, TestKernel, run_test
 from .harness import BitStream
 from .rngcore import StreamKey, Substream, derive
 
 __all__ = [
-    "PureDP",
-    "ApproxDP",
     "laplace_budget",
     "gaussian_rdp_profile",
     "rdp_to_approx_dp",
-    "TauSqEstimate",
     "estimate_tau_sq",
 ]
 
 
-@dataclass(frozen=True)
-class PureDP:
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ApproxDP:
-    epsilon: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("need epsilon >= 0 and delta in (0,1)")
-
-
-def laplace_budget(
-    epsilon: float | None = None,
-    *,
-    scale_y: float | None = None,
-    scale_z: float | None = None,
-) -> PureDP:
-    """Pure DP budget of a Laplace run.
-
-    With the default scales (Y at 4/eps covering sensitivity 2, Z at 2/eps
-    covering sensitivity 1) the budget is exactly the configured epsilon.
-    Explicit scales instead give 1/scale_z + 2/scale_y.
-    """
-    if scale_y is not None or scale_z is not None:
-        if scale_y is None or scale_z is None or scale_y <= 0.0 or scale_z <= 0.0:
-            raise ValueError("both noise scales must be given and positive")
-        return PureDP(1.0 / scale_z + 2.0 / scale_y)
-    if epsilon is None or epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    return PureDP(epsilon)
+def laplace_budget(scale_y: float, scale_z: float) -> float:
+    """Pure DP budget of a Laplace run, 1/scale_z + 2/scale_y: Z covers
+    sensitivity 1 and Y sensitivity 2. At the default scales (4/eps, 2/eps)
+    this is the configured epsilon."""
+    if not (scale_y > 0.0 and scale_z > 0.0):
+        raise ValueError("both noise scales must be positive")
+    return 1.0 / scale_z + 2.0 / scale_y
 
 
 def gaussian_rdp_profile(
@@ -97,41 +62,32 @@ def gaussian_rdp_profile(
 
 
 def rdp_to_approx_dp(
-    profile: Callable[[float], float],
+    eps_alpha: float,
     alpha: float,
     target_eps: float,
-) -> ApproxDP:
-    """Convert an RDP profile at order alpha to (target_eps, delta)-DP via
-    delta = exp(-(alpha-1)(target_eps - profile(alpha))). A delta that
-    underflows to 0 is reported as the smallest positive double, 5e-324,
-    which bounds it from above."""
+) -> tuple[float, float]:
+    """Convert an RDP profile value eps_alpha at order alpha to
+    (target_eps, delta)-DP via delta = exp(-(alpha-1)(target_eps - eps_alpha)).
+    A delta that underflows to 0 is reported as the smallest positive
+    double, 5e-324, which bounds it from above."""
     if alpha <= 1.0:
         raise ValueError("Renyi order alpha must exceed 1")
-    eps_alpha = profile(alpha)
     if target_eps <= eps_alpha:
         raise ValueError(
             f"target epsilon {target_eps} must exceed the profile value {eps_alpha}"
         )
     delta = math.exp(-(alpha - 1.0) * (target_eps - eps_alpha))
-    return ApproxDP(target_eps, max(delta, math.ulp(0.0)))
+    return target_eps, max(delta, math.ulp(0.0))
 
 
-@dataclass(frozen=True)
-class TauSqEstimate:
-    """Pilot-run estimate of E[tau^2]; an estimate, not a certified bound."""
-
-    value: float
-    reliable: bool
-    n_pilot: int
-    source: str = "pilot"
-
-
-def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
+def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> tuple[float, bool]:
     """Monte Carlo estimate of E[tau^2] under the worst of the two
-    hypotheses, as a one-sided 95% upper confidence value.
+    hypotheses, as a one-sided 95% upper confidence value: an estimate, not
+    a certified bound.
 
     Runs n_pilot pilot trials under each hypothesis with streams seeded
-    from `rng`. Any exhausted pilot marks the estimate unreliable.
+    from `rng`, and returns (value, reliable); any exhausted pilot marks the
+    estimate unreliable.
     """
     if n_pilot < 100:
         raise ValueError("need at least 100 pilot runs")
@@ -154,4 +110,4 @@ def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> TauSqEstimate:
         var = max(sq_sumsq / n_pilot - mean * mean, 0.0)
         upper = mean + 1.645 * math.sqrt(var / n_pilot)
         worst = max(worst, upper)
-    return TauSqEstimate(worst, reliable, n_pilot)
+    return worst, reliable

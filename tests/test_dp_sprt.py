@@ -79,9 +79,12 @@ class TestDefaults:
             LaplaceSub(1.0, 0.0)
 
     def test_gaussian_requires_explicit_gamma(self):
-        cfg = TestConfig(HYP, 0.05, 0.05, Gaussian(2.0, 1.0))
-        with pytest.raises(ValueError):
-            threshold_lower(cfg, 1)
+        """A Gaussian config without gamma fails at construction, not at its
+        first threshold or run."""
+        with pytest.raises(ValueError, match="explicit gamma"):
+            TestConfig(HYP, 0.05, 0.05, Gaussian(2.0, 1.0))
+        cfg = TestConfig(HYP, 0.05, 0.05, Gaussian(2.0, 1.0), gamma=0.5)
+        assert math.isfinite(threshold_lower(cfg, 1))
 
     @pytest.mark.parametrize("alpha, beta, gamma, s", [
         (0.05, 0.6, 0.01, 10.0), (0.01, 0.95, 0.01, 2.0), (0.6, 0.05, 0.01, 10.0)])

@@ -18,7 +18,7 @@ from dpsprt.noise import (
     sample_y,
     sample_z,
 )
-from dpsprt.rngcore import StreamKey, derive, uniform_open
+from dpsprt.rngcore import StreamKey, derive, fnv1a64, uniform_open
 
 ZETA2 = math.pi**2 / 6
 
@@ -219,7 +219,7 @@ class TestCorrectionValidity:
         else:
             spec = NoiseSpec.gaussian(4.0, 2.0)
             params = CorrectionParams(sigma_sum_sq=20.0)
-        rng = _rng(hash((family.value, delta)) % 1000 + 10)
+        rng = _rng(fnv1a64(f"{family.value}:{delta!r}") % 1000 + 10)
         y = sample_y(spec, rng, self.N_DRAWS)
         z = sample_z(spec, rng, self.N_DRAWS)
         n = np.arange(1, self.N_MAX + 1, dtype=np.float64)

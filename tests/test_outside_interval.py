@@ -1,6 +1,7 @@
 """The private two-threshold stopping mechanism."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from dpsprt.outside_interval import (
     Side,
     StreamExhaustedError,
     ThresholdSchedule,
-    epsilon_dp_cost,
     run,
 )
+from dpsprt.privacy_accounting import laplace_budget
 from dpsprt.rngcore import StreamKey, derive
 
 ZERO = NoiseSpec.zero()
@@ -128,18 +129,23 @@ def test_non_exhausted_outcome_reports_exactly_one_crossing():
 
 
 class TestEpsilonDpCost:
+    """Pure-DP cost of one run: Z at sensitivity 1 plus Y at sensitivity 2,
+    1/scale_z + 2/scale_y, as `laplace_budget` computes it from the scales."""
+
     def test_sum(self):
-        assert epsilon_dp_cost(0.5, 0.5) == 1.0
-        assert epsilon_dp_cost(0.0, 0.0) == 0.0
+        # eps_z = eps_y = 0.5
+        assert laplace_budget(scale_y=4.0, scale_z=2.0) == 1.0
+        assert laplace_budget(scale_y=math.inf, scale_z=math.inf) == 0.0
 
     def test_default_laplace_split(self):
         # scales 2/eps (sensitivity 1) and 4/eps (sensitivity 2) each cost eps/2
         eps = 0.1
         spec = NoiseSpec.laplace_default(eps)
-        eps_z = 1.0 / spec.scale_z
-        eps_y = 2.0 / spec.scale_y
-        assert epsilon_dp_cost(eps_z, eps_y) == pytest.approx(eps, rel=1e-12)
+        assert 1.0 / spec.scale_z == pytest.approx(eps / 2, rel=1e-12)
+        assert 2.0 / spec.scale_y == pytest.approx(eps / 2, rel=1e-12)
+        assert laplace_budget(spec.scale_y, spec.scale_z) == pytest.approx(eps, rel=1e-12)
 
     def test_rejects_negative(self):
+        # eps_z = -0.1, eps_y = 0.5
         with pytest.raises(ValueError):
-            epsilon_dp_cost(-0.1, 0.5)
+            laplace_budget(scale_y=4.0, scale_z=-10.0)

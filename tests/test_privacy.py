@@ -1,14 +1,28 @@
-"""Privacy accounting: budgets, profiles, conversions, pilot estimates."""
+"""Privacy accounting: budgets, profiles, conversions, pilot estimates, and
+the step-1 output law behind the pure-DP label."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from dpsprt.dp_sprt import Classical, Laplace, LaplaceSub, TestConfig, TestKernel, run_test
+from dpsprt import cli
+from dpsprt.dp_sprt import (
+    Classical,
+    Laplace,
+    LaplaceSub,
+    TestConfig,
+    TestKernel,
+    default_subsample_rate,
+    run_test,
+    threshold_lower,
+    threshold_upper,
+)
 from dpsprt.exp_family import HypothesisPair
+from dpsprt.noise import NoiseSpec
 from dpsprt.privacy_accounting import (
-    PureDP,
     estimate_tau_sq,
     gaussian_rdp_profile,
     laplace_budget,
@@ -22,19 +36,21 @@ HYP = HypothesisPair.of(0.3, 0.7)
 
 class TestLaplaceBudget:
     def test_default_scales_echo_epsilon(self):
-        assert laplace_budget(1.0) == PureDP(1.0)
-        assert laplace_budget(0.0) == PureDP(0.0)
+        # scales 2/eps (sensitivity 1) and 4/eps (sensitivity 2) each cost eps/2
+        for eps in (0.1, 1.0, 5.0):
+            spec = NoiseSpec.laplace_default(eps)
+            assert laplace_budget(spec.scale_y, spec.scale_z) == pytest.approx(eps, rel=1e-12)
 
     def test_explicit_scales(self):
         # 1/scale_z + 2/scale_y
-        assert laplace_budget(scale_y=4.0, scale_z=4.0).epsilon == pytest.approx(0.75)
-        assert laplace_budget(scale_y=4.0, scale_z=2.0).epsilon == pytest.approx(1.0)
+        assert laplace_budget(4.0, 4.0) == 0.75
+        assert laplace_budget(4.0, 2.0) == 1.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            laplace_budget(-1.0)
+            laplace_budget(-1.0, 2.0)
         with pytest.raises(ValueError):
-            laplace_budget(scale_y=4.0)
+            laplace_budget(4.0, 0.0)
 
 
 class TestGaussianProfile:
@@ -81,20 +97,20 @@ class TestGaussianProfile:
 
 class TestRdpConversion:
     def test_example_values(self):
-        got = rdp_to_approx_dp(lambda a: 0.5, 2.0, 1.5)
-        assert got.epsilon == 1.5
-        assert got.delta == pytest.approx(math.exp(-1.0), rel=1e-12)
-        got = rdp_to_approx_dp(lambda a: 1.0, 11.0, 2.0)
-        assert got.delta == pytest.approx(math.exp(-10.0), rel=1e-12)
+        eps, delta = rdp_to_approx_dp(0.5, 2.0, 1.5)
+        assert eps == 1.5
+        assert delta == pytest.approx(math.exp(-1.0), rel=1e-12)
+        _, delta = rdp_to_approx_dp(1.0, 11.0, 2.0)
+        assert delta == pytest.approx(math.exp(-10.0), rel=1e-12)
 
     def test_boundary_is_infeasible(self):
         with pytest.raises(ValueError):
-            rdp_to_approx_dp(lambda a: 0.5, 2.0, 0.5)
+            rdp_to_approx_dp(0.5, 2.0, 0.5)
 
     def test_delta_monotone_in_target_and_order(self):
-        deltas = [rdp_to_approx_dp(lambda a: 0.5, 2.0, t).delta for t in (0.6, 1.0, 2.0)]
+        deltas = [rdp_to_approx_dp(0.5, 2.0, t)[1] for t in (0.6, 1.0, 2.0)]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
-        deltas = [rdp_to_approx_dp(lambda a: 0.5, o, 1.5).delta for o in (2.0, 4.0, 8.0)]
+        deltas = [rdp_to_approx_dp(0.5, o, 1.5)[1] for o in (2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
@@ -103,9 +119,9 @@ class TestTauSqEstimate:
         # error targets of 0.9 put both thresholds inside [0, 1] at n = 1,
         # so every trajectory stops immediately: tau is identically 1
         cfg = TestConfig(HYP, 0.9, 0.9, Classical())
-        est = estimate_tau_sq(cfg, 100, derive(StreamKey(50)))
-        assert est.value == pytest.approx(1.0)
-        assert est.reliable
+        value, reliable = estimate_tau_sq(cfg, 100, derive(StreamKey(50)))
+        assert value == pytest.approx(1.0)
+        assert reliable
 
     def test_requires_minimum_pilots(self):
         cfg = TestConfig(HYP, 0.9, 0.9, Classical())
@@ -114,13 +130,13 @@ class TestTauSqEstimate:
 
     def test_unreliable_when_exhausted(self):
         cfg = TestConfig(HYP, 0.05, 0.05, Classical(), horizon=2)
-        est = estimate_tau_sq(cfg, 100, derive(StreamKey(51)))
-        assert not est.reliable
+        _, reliable = estimate_tau_sq(cfg, 100, derive(StreamKey(51)))
+        assert not reliable
 
     def test_against_batched_brute_force(self):
         """Independent oracle: fully vectorized classical trajectories."""
         cfg = TestConfig(HYP, 0.05, 0.05, Classical())
-        est = estimate_tau_sq(cfg, 1000, derive(StreamKey(52)))
+        value, _ = estimate_tau_sq(cfg, 1000, derive(StreamKey(52)))
 
         n_trials, depth = 100_000, 256
         n = np.arange(1, depth + 1, dtype=np.float64)
@@ -135,15 +151,15 @@ class TestTauSqEstimate:
             assert fired.any(axis=1).all(), "depth too small for the oracle"
             tau = np.argmax(fired, axis=1) + 1
             worst = max(worst, float(np.mean(tau.astype(np.float64) ** 2)))
-        assert est.value == pytest.approx(worst, rel=0.20)
+        assert value == pytest.approx(worst, rel=0.20)
 
     def test_subsampled_rate_one_agrees_with_laplace(self):
         lap = TestConfig(HYP, 0.05, 0.05, Laplace(1.0))
         sub = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 1.0))
-        e_lap = estimate_tau_sq(lap, 150, derive(StreamKey(53)))
-        e_sub = estimate_tau_sq(sub, 150, derive(StreamKey(53)))
+        e_lap, _ = estimate_tau_sq(lap, 150, derive(StreamKey(53)))
+        e_sub, _ = estimate_tau_sq(sub, 150, derive(StreamKey(53)))
         # same seeds, same trajectories
-        assert e_lap.value == pytest.approx(e_sub.value, rel=1e-12)
+        assert e_lap == pytest.approx(e_sub, rel=1e-12)
 
     @pytest.mark.parametrize("variant", [Laplace(1.0), LaplaceSub(1.0, 0.5)],
                              ids=["laplace", "laplace_sub"])
@@ -151,7 +167,7 @@ class TestTauSqEstimate:
         """Noise keys computed for all pilots at once give the estimate that
         each pilot's keys, derived from its own seed, give."""
         cfg = TestConfig(HYP, 0.05, 0.05, variant)
-        est = estimate_tau_sq(cfg, 100, derive(StreamKey(54)))
+        value, _ = estimate_tau_sq(cfg, 100, derive(StreamKey(54)))
         rng, kernel, worst = derive(StreamKey(54)), TestKernel(cfg), 0.0
         for p in (HYP.mu0, HYP.mu1):
             sq_sum = sq_sumsq = 0.0
@@ -163,4 +179,72 @@ class TestTauSqEstimate:
                 sq_sumsq += t2 * t2
             mean = sq_sum / 100
             worst = max(worst, mean + 1.645 * math.sqrt(max(sq_sumsq / 100 - mean * mean, 0.0) / 100))
-        assert est.value == worst
+        assert value == worst
+
+
+def _step_one_decide_one(cfg: TestConfig, x: int) -> float:
+    """P(stop at step 1 and decide 1) when observation 1 is x, in closed form.
+
+    Observation 1 is kept with probability r (1 outside the subsampled
+    rule); then the test compares x + r Y against upper(1) + r Z and
+    lower(1) - r Z, the lower side first. So it decides 1 when
+    Y >= max((upper - x)/r + Z, (lower - x)/r - Z), and the probability is
+    r * integral of f_Z(z) S_Y(max(...)) dz, split at the integrand's kinks.
+    """
+    r = getattr(cfg.variant, "rate", 1.0)
+    spec = NoiseSpec.laplace_default(cfg.variant.epsilon)
+    b_y, b_z = spec.scale_y, spec.scale_z
+    up, lo = threshold_upper(cfg, 1), threshold_lower(cfg, 1)
+
+    def integrand(z):
+        t = max((up - x) / r + z, (lo - x) / r - z)
+        s_y = 0.5 * math.exp(-t / b_y) if t >= 0 else 1.0 - 0.5 * math.exp(t / b_y)
+        return math.exp(-abs(z) / b_z) / (2.0 * b_z) * s_y
+
+    lim = 60.0 * b_z  # the Z mass beyond is e^-60
+    kinks = (0.0, (lo - up) / (2.0 * r), -(up - x) / r, (lo - x) / r)
+    edges = sorted({-lim, lim, *(k for k in kinks if -lim < k < lim)})
+    return r * sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+
+def _step_one_log_ratio(cfg: TestConfig) -> float:
+    """Log ratio of P(stop at step 1, decide 1) between neighbours that
+    differ only in observation 1 (0 and 1); an eps-DP test keeps it <= eps."""
+    return math.log(_step_one_decide_one(cfg, 1) / _step_one_decide_one(cfg, 0))
+
+
+class TestStepOneLaw:
+    @pytest.mark.parametrize("eps, want", [(0.1, 0.0250), (1.0, 0.2500), (5.0, 1.2500)])
+    def test_laplace_is_within_eps(self, eps, want):
+        ratio = _step_one_log_ratio(TestConfig(HYP, 0.05, 0.05, Laplace(eps)))
+        assert ratio == pytest.approx(want, abs=5e-5)
+        assert ratio <= eps
+
+    def test_laplace_sub_exceeds_eps(self):
+        """Observation 1 shifts the query by 1/r in units of Y, so the
+        step-1 log ratio is eps/(4r): 2.5 eps at eps 0.1, where r = 0.1.
+        Subsampling does not amplify it: the stop reveals the inclusion."""
+        eps = 0.1
+        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(eps, default_subsample_rate(eps)))
+        ratio = _step_one_log_ratio(cfg)
+        assert ratio == pytest.approx(0.2500, abs=5e-5)
+        assert ratio > eps
+
+    def test_every_pure_dp_cell_bounds_its_step_one_ratio(self, tmp_path):
+        """No cell that a simulate manifest labels pure_dp has a step-1 log
+        ratio above its eps; laplace_sub cells are labelled unaccounted."""
+        args = ["simulate", "--variants", "laplace,laplace_sub", "--trials", "1",
+                "--seed", "7", "--workers", "1"]
+        out = tmp_path / "sim"
+        assert cli.main(args + ["--out", str(out)]) == cli.EXIT_OK
+        notes = json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
+        v = cli._parse(cli._resolve_options(cli._build_parser().parse_args(args)))
+        plan, _ = cli._build_plan(v, (0,))
+        kinds = {cell.variant_id: notes[cell.variant_id]["kind"] for cell in plan.variants}
+        for cell in plan.variants:
+            if kinds[cell.variant_id] == "pure_dp":
+                eps = notes[cell.variant_id]["epsilon"]
+                assert _step_one_log_ratio(cell.config) <= eps, cell.variant_id
+        assert kinds == {f"{name}@eps={eps}": kind for eps in ("0.1", "1", "5")
+                         for name, kind in (("laplace", "pure_dp"), ("laplace_sub", "unaccounted"))}
