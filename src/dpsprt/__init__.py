@@ -48,9 +48,9 @@ from .dp_sprt import (
 )
 from .privacy_accounting import (
     estimate_tau_sq,
+    gaussian_epsilon,
     gaussian_rdp_profile,
     laplace_budget,
-    rdp_to_approx_dp,
 )
 from .bounds import (
     BoundReport,
@@ -81,4 +81,4 @@ from .harness import (
 )
 from .rngcore import StreamKey, Substream, derive
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

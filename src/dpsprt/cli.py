@@ -42,7 +42,7 @@ from .harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from .privacy_accounting import estimate_tau_sq, gaussian_rdp_profile, rdp_to_approx_dp
+from .privacy_accounting import estimate_tau_sq, gaussian_epsilon
 from .rngcore import StreamKey, Substream, derive, fnv1a64
 from .svg import write_line_chart
 
@@ -150,7 +150,6 @@ OPTIONS = {
     # tau >= 1, so E[tau^2] >= 1
     "tau_sq_bound": ("", _number(1.0, open_lo=False, unset=""),
                      "asserted bound (>= 1) for the Gaussian RDP tau^2 term"),
-    "rdp_alpha": ("2.0", _number(1.0), "Renyi order (> 1) of the Gaussian accounting"),
     "svg": ("no", _switch, "also write an SVG chart"),
     "bounds_eps": ("", _number(0.0, unset=""),
                    "privacy parameter; unset gives the non-private report"),
@@ -184,7 +183,8 @@ def _read_config(path: str) -> dict[str, str]:
         cfg = manifest.get("config", manifest) if isinstance(manifest, dict) else None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: manifest has no config mapping")
-        entries = [(path, str(k), str(v)) for k, v in cfg.items()]
+        # versions before 0.3.0 recorded the Renyi order that is now found in closed form
+        entries = [(path, str(k), str(v)) for k, v in cfg.items() if k != "rdp_alpha"]
     else:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -336,7 +336,7 @@ def _guarantees(v, cells) -> dict:
         elif not isinstance(var, Gaussian):
             continue
         elif v["tau_sq_bound"] is None and not v["accounting"]:
-            note = ("rdp", None, None, v["rdp_alpha"],
+            note = ("rdp", None, None, None,
                     "unavailable (pass --accounting or --tau-sq-bound)")
         else:
             if v["tau_sq_bound"] is not None:
@@ -345,14 +345,13 @@ def _guarantees(v, cells) -> dict:
                 rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
                 tsq, reliable = estimate_tau_sq(cell.config, 100, rng)
                 source = "pilot:100" + ("" if reliable else ":unreliable")
-            try:  # ldexp doubles the profile, and raises where that overflows
-                eps_alpha = gaussian_rdp_profile(var.sigma_y, var.sigma_z, tsq, v["rdp_alpha"])
-                eps, delta = rdp_to_approx_dp(eps_alpha, v["rdp_alpha"], math.ldexp(eps_alpha, 1))
-            except (ArithmeticError, ValueError):  # an overflow, or a variance underflows
+            eps, order = (gaussian_epsilon(var.sigma_y, var.sigma_z, tsq, v["delta"])
+                          if var.sigma_z**2 > 0.0 else (math.inf, None))
+            if not math.isfinite(eps):  # sigma_z^2 underflows, the profile or 2 tau^2 overflows
                 key, value = ("tau_sq_bound", tsq) if 2 * tsq == math.inf else ("eps", cell.epsilon)
-                raise ConfigError(f"key {key!r}: {value:g} is too large: at rdp_alpha "
-                                  f"{v['rdp_alpha']:g} the RDP profile overflows") from None
-            note = ("rdp_to_approx_dp", eps, delta, v["rdp_alpha"], source)
+                raise ConfigError(f"key {key!r}: {value:g} is too large: "
+                                  "the RDP profile overflows")
+            note = ("rdp_to_approx_dp", eps, v["delta"], order, source)
         notes[cell.variant_id] = dict(zip(_NOTE_KEYS, note))
     return notes
 
@@ -385,13 +384,9 @@ def cmd_bounds(v, opts, args) -> int:
                               v["s"], v["kappa"])
     except BoundOverflowError as exc:
         raise ConfigError(f"no bound report for this instance: {exc}") from None
-    fields = [
-        "lower_h0", "lower_h1", "upper_h0", "upper_h1",
-        "closed_upper_h0", "closed_upper_h1", "gamma_used", "epsilon_used", "s_used",
-    ]
-    row = {f: getattr(report, f) for f in fields}
-    text = ",".join(fields) + "\n" + ",".join(
-        "" if row[f] is None else repr(float(row[f])) for f in fields
+    row = asdict(report)
+    text = ",".join(row) + "\n" + ",".join(
+        "" if x is None else repr(float(x)) for x in row.values()
     ) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -498,7 +493,7 @@ _GRID = ("seed", "trials") + _INSTANCE + ("rate", "s", "kappa", "horizon", "eps"
 # subcommand: (handler, default output directory, help, option keys)
 COMMANDS = {
     "simulate": (cmd_simulate, "out", "run a seeded Monte Carlo experiment grid",
-                 _GRID + ("truth", "accounting", "tau_sq_bound", "rdp_alpha")),
+                 _GRID + ("truth", "accounting", "tau_sq_bound")),
     "bounds": (cmd_bounds, None, "emit the bound report for one instance",
                _INSTANCE + ("s", "kappa", "bounds_eps")),
     "compare": (cmd_compare, "out", "calibrate PrivSPRT and run a head-to-head grid",

@@ -19,7 +19,7 @@ from .rngcore import StreamKey, Substream, derive
 __all__ = [
     "laplace_budget",
     "gaussian_rdp_profile",
-    "rdp_to_approx_dp",
+    "gaussian_epsilon",
     "estimate_tau_sq",
 ]
 
@@ -61,23 +61,25 @@ def gaussian_rdp_profile(
     )
 
 
-def rdp_to_approx_dp(
-    eps_alpha: float,
-    alpha: float,
-    target_eps: float,
+def gaussian_epsilon(
+    sigma_y: float,
+    sigma_z: float,
+    tau_sq_bound: float,
+    delta: float,
 ) -> tuple[float, float]:
-    """Convert an RDP profile value eps_alpha at order alpha to
-    (target_eps, delta)-DP via delta = exp(-(alpha-1)(target_eps - eps_alpha)).
-    A delta that underflows to 0 is reported as the smallest positive
-    double, 5e-324, which bounds it from above."""
-    if alpha <= 1.0:
-        raise ValueError("Renyi order alpha must exceed 1")
-    if target_eps <= eps_alpha:
-        raise ValueError(
-            f"target epsilon {target_eps} must exceed the profile value {eps_alpha}"
-        )
-    delta = math.exp(-(alpha - 1.0) * (target_eps - eps_alpha))
-    return target_eps, max(delta, math.ulp(0.0))
+    """(epsilon, alpha): a Gaussian run is (epsilon, delta)-DP by Mironov's
+    conversion ("Renyi Differential Privacy", CSF 2017, Prop. 3) of its Renyi
+    profile at the order alpha where it is least. With x = alpha - 1,
+    A = 1/sigma_z^2, B = 1/(2 sigma_y^2) and C = A/2 + log(2 tau_sq_bound)/2
+    + log(1/delta), the profile plus log(1/delta)/x is (A + B) x + C/x
+    + 3A/2 + B, least at x = sqrt(C/(A + B))."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    a, b = 1.0 / sigma_z**2, 0.5 / sigma_y**2
+    c = 0.5 * a + 0.5 * math.log(2.0 * tau_sq_bound) - math.log(delta)
+    alpha = 1.0 + math.sqrt(c / (a + b))
+    eps = gaussian_rdp_profile(sigma_y, sigma_z, tau_sq_bound, alpha)
+    return eps - math.log(delta) / (alpha - 1.0), alpha
 
 
 def estimate_tau_sq(cfg: TestConfig, n_pilot: int, rng) -> tuple[float, bool]:

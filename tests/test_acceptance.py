@@ -144,9 +144,10 @@ def test_criterion_04_subsampling_benefit(grid):
     sub = grid[("laplace_sub@eps=0.1", 0)]
     gap = lap.mean_tau - sub.mean_tau
     need = 2.0 * _pooled_se(lap, sub)
-    _report("criterion 4 (subsampling benefit at eps=0.1)",
+    _report("criterion 4 (unaccounted laplace_sub stops before eps-DP laplace at eps=0.1)",
             gap >= need,
-            f"laplace {lap.mean_tau:.0f} - subsampled {sub.mean_tau:.0f} = {gap:.0f} >= {need:.1f}")
+            f"laplace {lap.mean_tau:.0f} - unaccounted laplace_sub {sub.mean_tau:.0f} "
+            f"= {gap:.0f} >= {need:.1f}")
 
 
 def test_criterion_05_privsprt_comparison(grid):

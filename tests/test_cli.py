@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -89,7 +90,7 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * 2  # two variants, both truths
         guarantees = manifest["privacy_guarantees"]
         assert guarantees["laplace@eps=1"]["kind"] == "pure_dp"
-        assert manifest["version"] == "0.2.0"
+        assert manifest["version"] == "0.3.0"
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -195,6 +196,31 @@ class TestSimulate:
         assert main(["bounds", "--eps", "1", "--out", str(tmp_path / "b2")]) == EXIT_OK
         assert _read(tmp_path / "b1" / "bounds.csv") == _read(tmp_path / "b2" / "bounds.csv")
 
+    def test_manifest_with_rdp_alpha_replays(self, tmp_path):
+        """A 0.2.0 simulate manifest records the Renyi order `rdp_alpha`,
+        which is now chosen in closed form: the key is dropped and the CSVs
+        replay byte for byte. The key is refused anywhere else."""
+        config = {key: OPTIONS[key][0] for key in COMMANDS["simulate"][-1]}
+        config.update(trials="50", eps="1,5", truth="both", seed="7", rdp_alpha="2.0")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": "0.2.0", "command": "simulate",
+                                        "config": config}))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(manifest), "--out", str(out), "--workers", "1"])
+        assert rc == EXIT_OK
+        got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
+                    for name in ("trials.csv", "summary.csv"))
+        assert got == self.PINNED[7]
+        assert "rdp_alpha" not in json.loads((out / "manifest.json").read_text())["config"]
+
+        flat = tmp_path / "run.cfg"
+        flat.write_text("rdp_alpha = 2.0\n")
+        assert main(["simulate", "--config", str(flat), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--rdp-alpha", "2", "--out", str(tmp_path / "y")])
+        assert exc.value.code == 2  # argparse's exit code for an unknown flag
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
     def test_rerun_from_manifest_keeps_accounting(self, tmp_path):
         args = ["simulate", "--trials", "10", "--eps", "5", "--variants", "gaussian,laplace",
                 "--seed", "7", "--accounting", "--workers", "1"]
@@ -285,15 +311,35 @@ class TestSimulate:
         assert "unavailable" in note["tau_sq_source"]
 
     @pytest.mark.parametrize("source", [["--tau-sq-bound", "10"], ["--accounting"]])
-    def test_accounting_delta_underflow_is_bounded(self, tmp_path, source):
-        """At eps 1000 the converted delta underflows to 0.0; the manifest
-        records the smallest positive double, which bounds it from above."""
-        out = tmp_path / "uf"
+    def test_accounting_at_eps_1000_reports_the_configured_delta(self, tmp_path, source):
+        """At eps 1000 the guarantee is still at the configured delta, with
+        a finite eps."""
+        out = tmp_path / "big"
         rc = main(["simulate", "--variants", "gaussian", "--eps", "1000", *source,
                    "--trials", "3", "--workers", "1", "--out", str(out)])
         assert rc == EXIT_OK
         note = json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
-        assert note["gaussian@eps=1000"]["delta"] == 5e-324
+        assert note["gaussian@eps=1000"]["delta"] == 1e-5
+        assert math.isfinite(note["gaussian@eps=1000"]["epsilon"])
+
+    def test_default_grid_gaussian_guarantees(self, tmp_path):
+        """With --accounting at seed 7, each Gaussian cell of the default
+        grid is (eps, 1e-5)-DP at the order where the conversion is least.
+        A cell's pilots key on the seed and the cell id alone, so running
+        the Gaussian cells alone gives the notes of the full grid."""
+        out = tmp_path / "acc"
+        rc = main(["simulate", "--accounting", "--seed", "7", "--variants", "gaussian",
+                   "--trials", "1", "--workers", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        notes = json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
+        want = {"0.1": (0.0986, 411.6), "1": (0.945, 39.7), "5": (4.89, 8.44)}
+        assert set(notes) == {f"gaussian@eps={eps}" for eps in want}
+        for eps, (eps_dp, order) in want.items():
+            note = notes[f"gaussian@eps={eps}"]
+            assert note["kind"] == "rdp_to_approx_dp" and note["tau_sq_source"] == "pilot:100"
+            assert note["delta"] == 1e-5
+            assert note["epsilon"] == pytest.approx(eps_dp, rel=1e-3)
+            assert note["alpha_order"] == pytest.approx(order, rel=1e-3)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -435,7 +481,7 @@ class TestTuneKappa:
 # (--trials, --rate, --kappa) took and never read.
 HELP_FLAGS = {
     "simulate": "--accounting --alpha --beta --config --delta --eps --gamma --help "
-                "--horizon --kappa --out --p0 --p1 --privsprt-pilot --rate --rdp-alpha "
+                "--horizon --kappa --out --p0 --p1 --privsprt-pilot --rate "
                 "--s --seed --tau-sq-bound --trials --truth --variants --workers",
     "bounds": "--alpha --beta --config --eps --gamma --help --kappa --out --p0 --p1 --s",
     "compare": "--alpha --beta --config --delta --eps --gamma --help --horizon --kappa "
@@ -461,8 +507,6 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["simulate", "--tau-sq-bound", "-5"] + SMALL_GRID, None),
     (["simulate", "--tau-sq-bound", "1e-9"] + SMALL_GRID, None),
     (["simulate", "--tau-sq-bound", "inf"] + SMALL_GRID, None),
-    (["simulate", "--rdp-alpha", "0"] + SMALL_GRID, None),
-    (["simulate", "--rdp-alpha", "1"] + SMALL_GRID, None),
     (["simulate"] + SMALL_GRID, "accounting = maybe"),
     (["compare"] + SMALL_GRID, "svg = true"),
     (["simulate"] + SMALL_GRID, {"tau_sq_bound": "0.5"}),
@@ -482,7 +526,7 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["simulate", "--trials", "3", "--eps", "1", "--variants", "gaussian", "--alpha", "0.01",
       "--beta", "0.95"], None),
 ], ids=["tau_sq_bound-negative", "tau_sq_bound-below-1", "tau_sq_bound-inf",
-        "rdp_alpha-0", "rdp_alpha-1", "accounting-cfg", "svg-cfg",
+        "accounting-cfg", "svg-cfg",
         "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow",
         "gaussian-variance-overflow", "laplace-overflow", "laplace_sub-overflow",
         "compare-laplace-overflow", "tune-kappa-laplace-overflow", "gaussian-domain-s",
@@ -561,9 +605,7 @@ def test_laplace_overflow_names_eps(tmp_path, capsys, monkeypatch, argv, key):
     (["--eps", "1e155", "--tau-sq-bound", "10"], "eps"),
     (["--eps", "1e155", "--accounting"], "eps"),
     (["--eps", "8e162", "--tau-sq-bound", "10"], "eps"),  # sigma_z^2 underflows to 0
-    (["--eps", "1", "--tau-sq-bound", "1e308"], "tau_sq_bound"),
-    # the profile is finite, but twice it, the conversion's target, is not
-    (["--eps", "10", "--tau-sq-bound", "10", "--rdp-alpha", "1e308"], "eps"),
+    (["--eps", "1", "--tau-sq-bound", "1e308"], "tau_sq_bound"),  # 2 tau^2 overflows
 ])
 def test_gaussian_profile_overflow_names_the_key(tmp_path, capsys, monkeypatch, argv, key):
     """A Gaussian RDP profile that overflows exits 2 naming the key, before
@@ -640,7 +682,7 @@ BAD_VALUES = {
     "seed": "-1", "trials": "0", "p0": "1.5", "p1": "0", "alpha": "1", "beta": "nan",
     "gamma": "1.5", "rate": "0", "s": "1", "kappa": "1.5", "horizon": "0", "eps": "0,1",
     "variants": "bogus", "truth": "H2", "delta": "1", "privsprt_pilot": "0",
-    "accounting": "maybe", "tau_sq_bound": "0.5", "rdp_alpha": "1", "svg": "true",
+    "accounting": "maybe", "tau_sq_bound": "0.5", "svg": "true",
     "bounds_eps": "0", "tune_eps": "abc", "tune_kappa_grid": "0.5,1.5",
     "tune_pilot_trials": "0", "tune_confirm_trials": "-1",
 }
@@ -721,7 +763,7 @@ def test_paper_defaults_are_options(tmp_path):
     and the file runs as a config."""
     path = Path(__file__).resolve().parents[1] / "demos" / "paper_defaults.cfg"
     keys = re.findall(r"^#?\s*([a-z_0-9]+)\s*=", path.read_text(), re.M)
-    assert {"accounting", "tau_sq_bound", "rdp_alpha"} <= set(keys) <= set(OPTIONS)
+    assert {"accounting", "tau_sq_bound"} <= set(keys) <= set(OPTIONS)
     rc = main(["simulate", "--config", str(path), "--trials", "2", "--eps", "5",
                "--variants", "classical", "--out", str(tmp_path / "d"), "--workers", "1"])
     assert rc == EXIT_OK

@@ -17,7 +17,7 @@ STDOUT_SHA256 = {
     "04_bounds.py": "d9c8f26228a19665611ba7e43491153294170d16b536e558239adae9e4ffdcac",
     "05_subsampling.py": "47bc080fb7d00c2954c116c9c87fe52361baf7fb796ed0c6a1070d46790f74fe",
     "06_privsprt_baseline.py": "f4daa12a31bfdd4d17974182ae05e1b8d6f81d142fce7f564ffef4143f1f2dc1",
-    "07_privacy_accounting.py": "f70e8796d6dc3bb5318331337bb5a83870fd966cdbb9c87997649e083a1becec",
+    "07_privacy_accounting.py": "5f7ff79020e8a7adcc9040fb88073e77ca75efae2262eb13e04ba7f1eda737d6",
 }
 
 

@@ -1,7 +1,8 @@
 """Unused-import and unused-API tripwires: every name a library module
 imports is read in that module or exported through its ``__all__``, every
 ``__all__`` name is read by a program (a library module, a demo or the
-benchmark), and every init field of a configuration class is set by one.
+benchmark), every init field of a configuration class is set by one, and
+every CLI option is read by the subcommands that take it.
 No linter ships with the project, so these tests stand in for the
 unused-import check of one."""
 
@@ -141,3 +142,36 @@ def test_every_config_field_is_set(module, name):
         done |= _fields_set(tree, name, init)
     unset = [f for f in init if f not in done and (name, f) not in UNSET_FIELDS]
     assert not unset, f"{name}: init fields that no program sets: {unset}"
+
+
+def test_every_option_is_read():
+    """Each key a subcommand takes is read as ``v["<key>"]`` by its handler
+    or by a ``cli.py`` function that the handler calls (found by name), and
+    each key of OPTIONS belongs to some subcommand: a key that is taken and
+    never read is a setting that changes nothing."""
+    from dpsprt import cli
+
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(handler: str) -> set[str]:
+        keys, todo, seen = set(), [handler], set()
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in funcs:
+                continue
+            seen.add(name)
+            for node in ast.walk(funcs[name]):
+                if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                        and node.value.id == "v" and isinstance(node.slice, ast.Constant)):
+                    keys.add(node.slice.value)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    todo.append(node.func.id)
+        return keys
+
+    for command, (handler, *_, keys) in cli.COMMANDS.items():
+        unread = sorted(set(keys) - reads(handler.__name__))
+        assert not unread, f"{command} takes keys it never reads: {unread}"
+    taken = {key for *_, keys in cli.COMMANDS.values() for key in keys}
+    untaken = sorted(set(cli.OPTIONS) - taken)
+    assert not untaken, f"keys of OPTIONS that no subcommand takes: {untaken}"

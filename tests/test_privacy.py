@@ -4,6 +4,7 @@ the step-1 output law behind the pure-DP label."""
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +17,7 @@ from dpsprt.dp_sprt import (
     TestConfig,
     TestKernel,
     default_subsample_rate,
+    gaussian_scales,
     run_test,
     threshold_lower,
     threshold_upper,
@@ -24,9 +26,9 @@ from dpsprt.exp_family import HypothesisPair
 from dpsprt.noise import NoiseSpec
 from dpsprt.privacy_accounting import (
     estimate_tau_sq,
+    gaussian_epsilon,
     gaussian_rdp_profile,
     laplace_budget,
-    rdp_to_approx_dp,
 )
 from dpsprt.harness import BitStream
 from dpsprt.rngcore import StreamKey, Substream, derive
@@ -95,23 +97,60 @@ class TestGaussianProfile:
             gaussian_rdp_profile(1.0, 1.0, 1.0, 1.0)
 
 
-class TestRdpConversion:
-    def test_example_values(self):
-        eps, delta = rdp_to_approx_dp(0.5, 2.0, 1.5)
-        assert eps == 1.5
-        assert delta == pytest.approx(math.exp(-1.0), rel=1e-12)
-        _, delta = rdp_to_approx_dp(1.0, 11.0, 2.0)
-        assert delta == pytest.approx(math.exp(-10.0), rel=1e-12)
+def _mp_minimum(sigma_y, sigma_z, tau_sq, delta) -> mpmath.mpf:
+    """The least value over alpha > 1 of the profile plus log(1/delta)/(alpha - 1),
+    in 40-digit arithmetic and without the closed form: the best of a
+    log-spaced grid of x = alpha - 1, refined to a root of the derivative."""
+    with mpmath.workdps(40):
+        sy, sz, tsq, dl = (mpmath.mpf(t) for t in (sigma_y, sigma_z, tau_sq, delta))
 
-    def test_boundary_is_infeasible(self):
+        def f(x):
+            a = x + 1
+            return ((a - mpmath.mpf(0.5)) / x * a / sz**2 + a / (2 * sy**2)
+                    + mpmath.log(2 * tsq) / (2 * x) - mpmath.log(dl) / x)
+
+        x0 = min((mpmath.mpf(10) ** (mpmath.mpf(k) / 8) for k in range(-40, 80)), key=f)
+        return f(mpmath.findroot(lambda x: mpmath.diff(f, x), x0))
+
+
+EPS_CASES = (0.1, 1.0, 5.0, 10.0)
+DELTA_CASES = (1e-3, 1e-5, 1e-9)
+TAU_SQ_CASES = (1.0, 1e4, 1e7)
+
+
+class TestGaussianEpsilon:
+    @pytest.mark.parametrize("tau_sq", TAU_SQ_CASES)
+    @pytest.mark.parametrize("delta", DELTA_CASES)
+    @pytest.mark.parametrize("eps", EPS_CASES)
+    def test_matches_mpmath_minimum(self, eps, delta, tau_sq):
+        sy, sz = gaussian_scales(eps, delta)
+        got, order = gaussian_epsilon(sy, sz, tau_sq, delta)
+        assert got == pytest.approx(float(_mp_minimum(sy, sz, tau_sq, delta)), rel=1e-12)
+        assert got == gaussian_rdp_profile(sy, sz, tau_sq, order) - math.log(delta) / (order - 1)
+
+    @pytest.mark.parametrize("eps", EPS_CASES)
+    def test_never_worse_than_order_two(self, eps):
+        for delta in DELTA_CASES:
+            sy, sz = gaussian_scales(eps, delta)
+            for tau_sq in TAU_SQ_CASES:
+                order_two = gaussian_rdp_profile(sy, sz, tau_sq, 2.0) - math.log(delta)
+                assert gaussian_epsilon(sy, sz, tau_sq, delta)[0] <= order_two
+
+    @pytest.mark.parametrize("eps", EPS_CASES)
+    def test_monotone_in_delta_and_tau_sq(self, eps):
+        """At fixed noise scales, eps falls as delta rises and rises with tau^2."""
+        sy, sz = gaussian_scales(eps, 1e-5)
+        for tau_sq in TAU_SQ_CASES:
+            vals = [gaussian_epsilon(sy, sz, tau_sq, d)[0] for d in sorted(DELTA_CASES)]
+            assert all(a > b for a, b in zip(vals, vals[1:]))
+        for delta in DELTA_CASES:
+            vals = [gaussian_epsilon(sy, sz, t, delta)[0] for t in TAU_SQ_CASES]
+            assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -1e-5, 1.5])
+    def test_rejects_delta_outside_unit_interval(self, delta):
         with pytest.raises(ValueError):
-            rdp_to_approx_dp(0.5, 2.0, 0.5)
-
-    def test_delta_monotone_in_target_and_order(self):
-        deltas = [rdp_to_approx_dp(0.5, 2.0, t)[1] for t in (0.6, 1.0, 2.0)]
-        assert all(a > b for a, b in zip(deltas, deltas[1:]))
-        deltas = [rdp_to_approx_dp(0.5, o, 1.5)[1] for o in (2.0, 4.0, 8.0)]
-        assert all(a > b for a, b in zip(deltas, deltas[1:]))
+            gaussian_epsilon(2.0, 1.0, 10.0, delta)
 
 
 class TestTauSqEstimate:
