@@ -15,6 +15,7 @@ from dpsprt import (
     LaplaceSub,
     StreamKey,
     TestConfig,
+    TestKernel,
     default_gamma,
     default_subsample_rate,
     derive,
@@ -47,10 +48,7 @@ print("the widened private interval needs many more samples to pin the mean\n")
 
 print("one run per variant, truth = H1 (p = 0.7), same observation seed:")
 for name, cfg in variants.items():
-    cfg = TestConfig(
-        hyp, alpha, beta, cfg.variant, gamma=cfg.gamma, seed=99,
-    )
     obs = BitStream(0.7, derive(StreamKey(8, 0, 0)))
-    out = run_test(cfg, obs)
+    out = run_test(TestKernel(cfg).trial(99), obs)
     extra = f", included {out.included_count}" if out.included_count is not None else ""
     print(f"  {name:>10}: tau = {out.tau:>5}, decision = H{out.decision}{extra}")

@@ -38,6 +38,7 @@ from .dp_sprt import (
     Laplace,
     LaplaceSub,
     TestConfig,
+    TestKernel,
     TestOutcome,
     default_gamma,
     default_subsample_rate,
@@ -81,4 +82,4 @@ from .harness import (
 )
 from .rngcore import StreamKey, Substream, derive
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -64,7 +64,6 @@ class PrivSprtConfig:
     thresh_a: float | None = None
     thresh_b: float | None = None
     horizon: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.sigma1 < 0.0 or self.sigma2 < 0.0:
@@ -82,13 +81,12 @@ class PrivSprtConfig:
         delta: float = 1e-5,
         trunc_a: float = 1.0,
         horizon: int = 1_000_000,
-        seed: int = 0,
     ) -> "PrivSprtConfig":
         """Noise levels matched to the Gaussian test at the same (eps, delta):
         sigma1 = 2*sqrt(2)*A*sigma_Z and sigma2 = 2*sqrt(2)*A*sigma_Y."""
         sigma_y, sigma_z = gaussian_scales(epsilon, delta)
         k = 2.0 * math.sqrt(2.0) * trunc_a
-        return cls(hyp, k * sigma_z, k * sigma_y, trunc_a, None, None, horizon, seed)
+        return cls(hyp, k * sigma_z, k * sigma_y, trunc_a, None, None, horizon)
 
 
 class CalibrationError(RuntimeError):
@@ -178,13 +176,12 @@ def run_privsprt(cfg: PrivSprtConfig | Trial, observations: Iterable[int]) -> Te
     Per step the clamped log-likelihood ratio joins the running sum; the
     upper comparison statistic + Y1 >= b + Z1 is checked first (decision 1),
     then statistic + Y2 <= -a + Z2 (decision 0). The caller supplies the
-    observations; the noise streams derive from cfg.seed. In place of a
-    config, `cfg` may be a prepared kernel's `trial(seed)`; the harness keys
-    each trial that way by (master_seed, cell, trial), so cfg.seed matters
-    only to a run on a bare config.
+    observations. On a bare config the noise streams are those of seed 0;
+    to key another seed, pass `PrivSprtKernel(cfg).trial(seed)` in place of
+    the config, as the harness does by (master_seed, cell, trial).
     """
     if isinstance(cfg, PrivSprtConfig):
-        cfg = PrivSprtKernel(cfg).trial(cfg.seed)
+        cfg = PrivSprtKernel(cfg).trial(0)
     return cfg.run(observations)
 
 
@@ -285,12 +282,14 @@ def calibrate_privsprt(
     target_beta: float,
     grid: Sequence[tuple[float, float]] | None = None,
     pilot_trials: int = 100,
-    rng=None,
+    *,
+    rng,
 ) -> CalibrationResult:
     """Grid-search thresholds against pilot Monte Carlo error estimates.
 
     Pilot trajectories are shared across grid points (common random
-    numbers), so the search is deterministic given (grid, rng seed). Among
+    numbers) and seeded from `rng`, so the search is deterministic given
+    (grid, rng's state). Among
     the points whose pilot errors meet both targets, the smallest in
     lexicographic (a+b, a) order wins, favoring faster stopping. Raises
     CalibrationError, listing the best attempt, if no point is feasible.
@@ -301,8 +300,6 @@ def calibrate_privsprt(
     """
     if pilot_trials < 1:
         raise ValueError("pilot_trials must be positive")
-    if rng is None:
-        rng = derive(StreamKey(cfg.seed, substream=Substream.PILOT))
     grid = list(default_threshold_grid(cfg, target_alpha) if grid is None else grid)
     if not grid:
         raise ValueError("threshold grid must be nonempty")

@@ -33,7 +33,6 @@ from .dp_sprt import (
     default_subsample_rate,
     gaussian_scales,
 )
-from .noise import CorrectionParams
 from .exp_family import HypothesisPair
 from .harness import (
     ExperimentPlan,
@@ -262,7 +261,6 @@ def _build_plan(v, truths):
     kappa < 1, which is printed too."""
     hyp = HypothesisPair.of(v["p0"], v["p1"])
     alpha, beta, horizon = v["alpha"], v["beta"], v["horizon"]
-    params = CorrectionParams(s=v["s"], kappa=v["kappa"])
     cells = []
     for eps in v["eps"]:
         # what a Laplace variant resolves an unset gamma to; classical ignores it
@@ -277,7 +275,7 @@ def _build_plan(v, truths):
             else:
                 try:
                     cfg = TestConfig(hyp, alpha, beta, _variant(v, name, eps), gamma=gamma,
-                                     correction=params, horizon=horizon)
+                                     s=v["s"], kappa=v["kappa"], horizon=horizon)
                 except ValueError as exc:
                     if name != "gaussian":  # the Laplace noise or correction overflows
                         raise ConfigError(f"key 'eps': {exc}") from None
@@ -351,7 +349,7 @@ def _guarantees(v, cells) -> dict:
                 key, value = ("tau_sq_bound", tsq) if 2 * tsq == math.inf else ("eps", cell.epsilon)
                 raise ConfigError(f"key {key!r}: {value:g} is too large: "
                                   "the RDP profile overflows")
-            note = ("rdp_to_approx_dp", eps, v["delta"], order, source)
+            note = ("rdp_mironov", eps, v["delta"], order, source)
         notes[cell.variant_id] = dict(zip(_NOTE_KEYS, note))
     return notes
 
@@ -448,9 +446,9 @@ def cmd_tune_kappa(v, opts, args) -> int:
     pilot_trials, confirm_trials = v["tune_pilot_trials"], v["tune_confirm_trials"]
 
     try:  # every kappa's cell, before the first trial
-        cfgs = {kappa: TestConfig(hyp, alpha, beta, Laplace(eps), gamma=v["gamma"],
-                                  correction=CorrectionParams(s=v["s"], kappa=kappa),
-                                  horizon=v["horizon"]) for kappa in v["tune_kappa_grid"]}
+        cfgs = {kappa: TestConfig(hyp, alpha, beta, Laplace(eps), gamma=v["gamma"], s=v["s"],
+                                  kappa=kappa, horizon=v["horizon"])
+                for kappa in v["tune_kappa_grid"]}
     except ValueError as exc:  # the Laplace noise or correction overflows
         raise ConfigError(f"key 'tune_eps': {exc}") from None
 

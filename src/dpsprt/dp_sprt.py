@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
@@ -135,10 +135,12 @@ class TestConfig:
     `gamma=None` resolves to the default allocation rule for the Laplace
     variants; the Gaussian variant needs an explicit gamma, and the
     classical variant ignores gamma. The variant sets the noise and the
-    correction. A Gaussian test without gamma, or whose correction is
-    undefined at n = 1, at 2 * (1 - gamma) * max(alpha, beta) >= zeta(s),
-    raises ValueError, as does a Laplace test whose noise or correction
-    overflows.
+    correction's epsilon or sigma^2-sum; `s` and `kappa` are the
+    correction's own (see :class:`CorrectionParams`). A test with s <= 1 or
+    kappa outside (0, 1] raises ValueError, as does a Gaussian test without
+    gamma, or whose correction is undefined at n = 1, at
+    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), and a Laplace test whose
+    noise or correction overflows.
     """
 
     hypotheses: HypothesisPair
@@ -146,9 +148,9 @@ class TestConfig:
     beta: float
     variant: Variant
     gamma: float | None = None
-    correction: CorrectionParams = CorrectionParams()
+    s: float = 2.0
+    kappa: float = 1.0
     horizon: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0 or not 0.0 < self.beta < 1.0:
@@ -157,11 +159,11 @@ class TestConfig:
             raise ValueError("gamma must lie in (0,1)")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
+        res = _resolve(self)  # raises on s, kappa, and a Gaussian test without gamma
         if isinstance(self.variant, Gaussian):
-            _corrections(_resolve(self), np.ones(1))  # raises without gamma or outside the domain
+            _corrections(res, np.ones(1))  # raises outside the domain
         elif isinstance(self.variant, (Laplace, LaplaceSub)):
             # C(n, delta) peaks at some n <= 3, and no draw reaches 37 scales
-            res = _resolve(self)
             with np.errstate(over="ignore"):
                 top = np.max(_corrections(res, np.arange(1.0, 4.0))) + 37.0 * (
                     res.spec.scale_y + res.spec.scale_z)
@@ -240,8 +242,8 @@ class _Resolved:
 
     spec: NoiseSpec
     params: CorrectionParams
-    gamma: float
-    log_b: float  # log(1/(gamma*beta)), or log(1/beta) for classical
+    gamma: float  # 1.0 for classical
+    log_b: float  # log(1/(gamma*beta))
     log_a: float
     delta_lo: float  # (1-gamma)*beta
     delta_hi: float
@@ -249,36 +251,30 @@ class _Resolved:
 
 
 def _resolve(cfg: TestConfig) -> _Resolved:
+    """The classical test is the general rule at gamma = 1 with zero noise:
+    its budgets log(1/(1.0*beta)) are log(1/beta), and its correction is 0."""
     v = cfg.variant
+    gamma, epsilon, sigma_sum_sq, rate = cfg.gamma, None, None, 1.0
     if isinstance(v, Classical):
-        spec = NoiseSpec.zero()
-        params = cfg.correction
-        gamma = 1.0
-        rate = 1.0
-    elif isinstance(v, Laplace) or isinstance(v, LaplaceSub):
-        spec = NoiseSpec.laplace_default(v.epsilon)
-        params = replace(cfg.correction, epsilon=v.epsilon)
-        gamma = cfg.gamma if cfg.gamma is not None else default_gamma(v.epsilon)
-        rate = v.rate if isinstance(v, LaplaceSub) else 1.0
+        spec, gamma = NoiseSpec.zero(), 1.0
+    elif isinstance(v, (Laplace, LaplaceSub)):
+        spec, epsilon = NoiseSpec.laplace_default(v.epsilon), v.epsilon
+        if gamma is None:
+            gamma = default_gamma(v.epsilon)
+        if isinstance(v, LaplaceSub):
+            rate = v.rate
     elif isinstance(v, Gaussian):
-        spec = NoiseSpec.gaussian(v.sigma_y, v.sigma_z)
-        params = replace(cfg.correction, sigma_sum_sq=v.sigma_y**2 + v.sigma_z**2)
-        if cfg.gamma is None:
+        spec, sigma_sum_sq = NoiseSpec.gaussian(v.sigma_y, v.sigma_z), v.sigma_y**2 + v.sigma_z**2
+        if gamma is None:
             raise ValueError("Gaussian variant needs an explicit gamma")
-        gamma = cfg.gamma
-        rate = 1.0
     else:
         raise TypeError(f"unknown variant {v!r}")
-    if isinstance(v, Classical):
-        log_b = math.log(1.0 / cfg.beta)
-        log_a = math.log(1.0 / cfg.alpha)
-        delta_lo = delta_hi = 0.5  # unused: the noise family is ZERO
-    else:
-        log_b = math.log(1.0 / (gamma * cfg.beta))
-        log_a = math.log(1.0 / (gamma * cfg.alpha))
-        delta_lo = (1.0 - gamma) * cfg.beta
-        delta_hi = (1.0 - gamma) * cfg.alpha
-    return _Resolved(spec, params, gamma, log_b, log_a, delta_lo, delta_hi, rate)
+    params = CorrectionParams(cfg.s, epsilon, sigma_sum_sq, cfg.kappa)
+    return _Resolved(
+        spec, params, gamma,
+        math.log(1.0 / (gamma * cfg.beta)), math.log(1.0 / (gamma * cfg.alpha)),
+        (1.0 - gamma) * cfg.beta, (1.0 - gamma) * cfg.alpha, rate,
+    )
 
 
 def _corrections(res: _Resolved, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +351,8 @@ class Kernel:
     def __init__(self, cfg, roles: int):
         self.cfg = cfg
         self._roles = NOISE_ROLES[:roles]
-        self._rngs = [derive(StreamKey(cfg.seed, substream=role)) for role in self._roles]
+        # placeholders keyed at seed 0: a run rekeys them to its trial's streams
+        self._rngs = [derive(StreamKey(0, substream=role)) for role in self._roles]
 
     def trials(self, seeds) -> list[Trial]:
         """The trials of a block of seeds (a uint64 array, or a sequence of
@@ -450,24 +447,21 @@ class TestKernel(Kernel):
             got = bits.size
             n = np.arange(n_done + 1, n_done + got + 1, dtype=np.float64)
             y = np.atleast_1d(sample_y(res.spec, rng_y, got))
+            # the plain rule is the subsampled one at rate 1.0 with M_n = n,
+            # and a product by 1.0 is exact
+            m, counts = n, None
             if rng_b is not None:
                 include = rng_b.random(got) < rate
-                s = s_carry + np.cumsum(bits * include)
-                m = m_carry + np.cumsum(include)
-                valid = m > 0
-                xbar = np.divide(s, m, out=np.zeros(got), where=valid)
-                lower, upper = self._thresholds(n_done, n_done + got, m)
-                stat = xbar + rate * y / n
-                yield (n_done, valid & (stat <= lower - rate * z / n),
-                       valid & (stat >= upper + rate * z / n), m)
+                bits = bits * include
+                m = counts = m_carry + np.cumsum(include)
                 m_carry = int(m[-1])
-            else:
-                s = s_carry + np.cumsum(bits)
-                lower, upper = self._thresholds(n_done, n_done + got, None)
-                # rate is 1 here, and a product by 1.0 is exact
-                stat = s / n + y / n
-                yield n_done, stat <= lower - z / n, stat >= upper + z / n, None
+            s = s_carry + np.cumsum(bits)
             s_carry = int(s[-1])
+            lower, upper = self._thresholds(n_done, n_done + got, m)
+            # where M_n = 0 (so S_n = 0) the thresholds are -inf and +inf,
+            # and neither check can fire
+            stat = s / np.maximum(m, 1) + rate * y / n
+            yield n_done, stat <= lower - rate * z / n, stat >= upper + rate * z / n, counts
 
 
 def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcome:
@@ -475,17 +469,16 @@ def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcom
 
     Z is drawn once up front; each step consumes one observation and one
     fresh Y. The lower comparison is evaluated before the upper one. The
-    caller supplies the observations; the Y and Z streams derive from
-    cfg.seed, so identical (cfg, observations) inputs replay the identical
-    outcome. In place of a config, `cfg` may be a prepared kernel's
-    `trial(seed)`, which gives what the config with that seed gives; the
-    harness keys each trial that way by (master_seed, cell, trial), so
-    cfg.seed matters only to a run on a bare config.
+    caller supplies the observations. On a bare config the Y and Z streams
+    are those of seed 0, so identical (cfg, observations) inputs replay the
+    identical outcome; to key another seed, pass a prepared kernel's
+    `TestKernel(cfg).trial(seed)` in place of the config, as the harness
+    does by (master_seed, cell, trial).
 
     The reader buffers ahead of the stopping point for speed; treat the
     observation iterable as owned by this run and do not reuse it.
     """
     if isinstance(cfg, TestConfig):
-        cfg = TestKernel(cfg).trial(cfg.seed)
+        cfg = TestKernel(cfg).trial(0)
     return cfg.run(observations)
 

@@ -265,7 +265,7 @@ def _variant_fields(variant: PlannedVariant) -> list[str]:
     return [_fmt(x) for x in (
         cfg.alpha, cfg.beta, resolved_gamma(cfg), variant.epsilon,
         v.rate if isinstance(v, LaplaceSub) else None,
-        cfg.correction.kappa if not isinstance(v, Classical) else None,
+        cfg.kappa if not isinstance(v, Classical) else None,
     )]
 
 

@@ -151,10 +151,10 @@ def correction_vec(
     n = np.asarray(n, dtype=np.float64)
     if np.any(n < 1):
         raise ValueError("n must be >= 1")
+    if family is NoiseFamily.ZERO:  # whatever delta: the classical test's is 0
+        return np.zeros_like(n)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
-    if family is NoiseFamily.ZERO:
-        return np.zeros_like(n)
     factor = 1.0 if family is NoiseFamily.LAPLACE else 2.0
     log_arg = params.s * np.log(n) + math.log(params.zeta_s) - math.log(factor * delta)
     if np.any(log_arg <= 0.0):
@@ -165,7 +165,9 @@ def correction_vec(
     if family is NoiseFamily.LAPLACE:
         if params.epsilon is None or params.epsilon <= 0.0:
             raise ValueError("Laplace correction requires a positive epsilon")
-        return params.kappa * 6.0 * log_arg / (n * params.epsilon)
+        # n * epsilon overflows near the float maximum, to the right limit 0
+        with np.errstate(over="ignore"):
+            return params.kappa * 6.0 * log_arg / (n * params.epsilon)
     if params.sigma_sum_sq is None or params.sigma_sum_sq <= 0.0:
         raise ValueError("Gaussian correction requires positive sigma_sum_sq")
     return params.kappa * np.sqrt(2.0 * params.sigma_sum_sq * log_arg) / n

@@ -128,15 +128,17 @@ class TestZeroNoiseRuns:
 
 class TestNoisyRuns:
     def test_deterministic_given_seed(self):
-        cfg = replace(PrivSprtConfig.from_epsilon(HYP, 1.0, seed=9), thresh_a=375.0, thresh_b=375.0)
+        cfg = replace(PrivSprtConfig.from_epsilon(HYP, 1.0), thresh_a=375.0, thresh_b=375.0)
+        trial = baselines.PrivSprtKernel(cfg).trial(9)
         bits = list(_obs(0.3, 7).take(5000))
-        assert run_privsprt(cfg, iter(bits)) == run_privsprt(cfg, iter(bits))
+        assert run_privsprt(trial, iter(bits)) == run_privsprt(trial, iter(bits))
 
     def test_seed_changes_noise(self):
         base = replace(PrivSprtConfig.from_epsilon(HYP, 1.0), thresh_a=375.0, thresh_b=375.0)
         bits = list(_obs(0.3, 8).take(20000))
-        a = run_privsprt(replace(base, seed=1), iter(bits))
-        b = run_privsprt(replace(base, seed=2), iter(bits))
+        kernel = baselines.PrivSprtKernel(base)
+        a = run_privsprt(kernel.trial(1), iter(bits))
+        b = run_privsprt(kernel.trial(2), iter(bits))
         assert (a.tau, a.decision) != (b.tau, b.decision)
 
 

@@ -90,7 +90,7 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * 2  # two variants, both truths
         guarantees = manifest["privacy_guarantees"]
         assert guarantees["laplace@eps=1"]["kind"] == "pure_dp"
-        assert manifest["version"] == "0.3.0"
+        assert manifest["version"] == "0.4.0"
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -231,7 +231,7 @@ class TestSimulate:
         assert rc == EXIT_OK
         first, second = (json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
                          for out in (out1, out2))
-        assert first["gaussian@eps=5"]["kind"] == "rdp_to_approx_dp"
+        assert first["gaussian@eps=5"]["kind"] == "rdp_mironov"
         assert second == first
 
     def test_zero_trials_is_config_error(self, tmp_path):
@@ -288,7 +288,7 @@ class TestSimulate:
                    "--seed", "7", "--accounting", "--out", str(out), "--workers", "1"])
         assert rc == EXIT_OK
         note = json.loads((out / "manifest.json").read_text())["privacy_guarantees"]["gaussian@eps=5"]
-        assert note["kind"] == "rdp_to_approx_dp"
+        assert note["kind"] == "rdp_mironov"
         assert note["tau_sq_source"].startswith("pilot:100")
         assert 0 < note["delta"] < 1
 
@@ -336,7 +336,7 @@ class TestSimulate:
         assert set(notes) == {f"gaussian@eps={eps}" for eps in want}
         for eps, (eps_dp, order) in want.items():
             note = notes[f"gaussian@eps={eps}"]
-            assert note["kind"] == "rdp_to_approx_dp" and note["tau_sq_source"] == "pilot:100"
+            assert note["kind"] == "rdp_mironov" and note["tau_sq_source"] == "pilot:100"
             assert note["delta"] == 1e-5
             assert note["epsilon"] == pytest.approx(eps_dp, rel=1e-3)
             assert note["alpha_order"] == pytest.approx(order, rel=1e-3)

@@ -15,7 +15,7 @@ STDOUT_SHA256 = {
     "02_outside_interval.py": "79deae2db5f57316031cdd35026a0784f53637b988bf04b357427cbfac7f5e2c",
     "03_private_sprt.py": "0c9ef99d7a30d668cee3454a2d21bf16e6aaf9aa48d270e9f56f7686e9c0da98",
     "04_bounds.py": "d9c8f26228a19665611ba7e43491153294170d16b536e558239adae9e4ffdcac",
-    "05_subsampling.py": "47bc080fb7d00c2954c116c9c87fe52361baf7fb796ed0c6a1070d46790f74fe",
+    "05_subsampling.py": "b57224c95fcc86ce834e2696cc21d067d863bcc5ef0f147344544698b7310eed",
     "06_privsprt_baseline.py": "f4daa12a31bfdd4d17974182ae05e1b8d6f81d142fce7f564ffef4143f1f2dc1",
     "07_privacy_accounting.py": "5f7ff79020e8a7adcc9040fb88073e77ca75efae2262eb13e04ba7f1eda737d6",
 }

@@ -14,6 +14,7 @@ from dpsprt.dp_sprt import (
     Laplace,
     LaplaceSub,
     TestConfig,
+    TestKernel,
     default_gamma,
     default_subsample_rate,
     gaussian_scales,
@@ -24,7 +25,7 @@ from dpsprt.dp_sprt import (
 )
 from dpsprt.exp_family import HypothesisPair
 from dpsprt.harness import BitStream
-from dpsprt.noise import CorrectionParams, NoiseFamily, NoiseSpec, sample_z
+from dpsprt.noise import NoiseFamily, NoiseSpec, riemann_zeta, sample_z
 from dpsprt.outside_interval import StreamExhaustedError
 from dpsprt.rngcore import StreamKey, Substream, derive
 
@@ -34,6 +35,11 @@ ZETA2 = math.pi**2 / 6
 
 def _classical(alpha=0.05, beta=0.05, **kw):
     return TestConfig(HYP, alpha, beta, Classical(), **kw)
+
+
+def _trial(cfg, seed):
+    """The trial of `seed` on a fresh kernel of `cfg`."""
+    return TestKernel(cfg).trial(seed)
 
 
 def _obs(p, tag):
@@ -77,6 +83,12 @@ class TestDefaults:
             TestConfig(HYP, 0.05, 0.05, Classical(), horizon=0)
         with pytest.raises(ValueError):
             LaplaceSub(1.0, 0.0)
+        # the correction's s and kappa are checked for every variant
+        for variant, gamma in [(Classical(), None), (Laplace(1.0), None),
+                               (Gaussian(2.0, 1.0), 0.5), (LaplaceSub(1.0, 0.5), None)]:
+            for bad in [{"s": 1.0}, {"s": 0.5}, {"kappa": 0.0}, {"kappa": 1.5}]:
+                with pytest.raises(ValueError, match="zeta exponent|kappa"):
+                    TestConfig(HYP, 0.05, 0.05, variant, gamma=gamma, **bad)
 
     def test_gaussian_requires_explicit_gamma(self):
         """A Gaussian config without gamma fails at construction, not at its
@@ -92,15 +104,14 @@ class TestDefaults:
         """A Gaussian test whose correction is undefined at n = 1, where
         2 * (1 - gamma) * max(alpha, beta) >= zeta(s), fails at construction;
         a gamma that leaves 2 * delta below zeta(s) gives finite thresholds."""
-        params = CorrectionParams(s=s)
         with pytest.raises(ValueError, match="zeta"):
-            TestConfig(HYP, alpha, beta, Gaussian(2.0, 1.0), gamma=gamma, correction=params)
+            TestConfig(HYP, alpha, beta, Gaussian(2.0, 1.0), gamma=gamma, s=s)
         delta = max(alpha, beta) * (1 - 0.5)
-        assert 2 * delta < params.zeta_s
-        cfg = TestConfig(HYP, alpha, beta, Gaussian(2.0, 1.0), gamma=0.5, correction=params)
+        assert 2 * delta < riemann_zeta(s)
+        cfg = TestConfig(HYP, alpha, beta, Gaussian(2.0, 1.0), gamma=0.5, s=s)
         assert math.isfinite(threshold_lower(cfg, 1)) and math.isfinite(threshold_upper(cfg, 1))
         # the Laplace correction, at factor 1, is defined there
-        lap = TestConfig(HYP, alpha, beta, Laplace(1.0), gamma=gamma, correction=params)
+        lap = TestConfig(HYP, alpha, beta, Laplace(1.0), gamma=gamma, s=s)
         assert math.isfinite(threshold_upper(lap, 1))
 
     @pytest.mark.parametrize("variant", [Laplace(1e-308), LaplaceSub(1e-320, 0.5),
@@ -209,9 +220,9 @@ class TestClassicalRuns:
         assert (out.tau, out.decision) == (scan, 0)
 
     def test_determinism(self):
-        cfg = _classical(seed=11)
+        trial = _trial(_classical(), 11)
         bits = list(_obs(0.3, 1).take(500))
-        assert run_test(cfg, iter(bits)) == run_test(cfg, iter(bits))
+        assert run_test(trial, iter(bits)) == run_test(trial, iter(bits))
 
     def test_rejects_non_bit_observation(self):
         with pytest.raises(ValueError):
@@ -242,11 +253,11 @@ class TestClassicalRuns:
         assert out.exhausted and out.tau == 64 and out.decision is None
 
     def test_buffered_and_plain_iterables_agree(self):
-        cfg = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=13)
+        trial = _trial(TestConfig(HYP, 0.05, 0.05, Laplace(1.0)), 13)
         stream = _obs(0.55, 40)
         bits = list(stream.take(4000))
-        from_list = run_test(cfg, iter(bits))
-        from_stream = run_test(cfg, _obs(0.55, 40))
+        from_list = run_test(trial, iter(bits))
+        from_stream = run_test(trial, _obs(0.55, 40))
         assert from_list == from_stream
 
 
@@ -287,37 +298,36 @@ class TestReduction:
 class TestSubsampled:
     def test_rate_one_matches_plain_laplace_trajectory(self):
         for seed in (1, 2, 3, 99):
-            plain = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=seed)
-            sub = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 1.0), seed=seed)
+            plain = _trial(TestConfig(HYP, 0.05, 0.05, Laplace(1.0)), seed)
+            sub = _trial(TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 1.0)), seed)
             a = run_test(plain, _obs(0.3, seed))
             b = run_test(sub, _obs(0.3, seed))
             assert (a.tau, a.decision, a.exhausted) == (b.tau, b.decision, b.exhausted)
             assert b.included_count == b.tau
 
     def test_no_halt_before_first_inclusion(self):
-        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.01), seed=21)
+        trial = _trial(TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.01)), 21)
         # replay the subsampling stream to find the first included index
         u = derive(StreamKey(21, substream=Substream.SUBSAMPLE)).random(10**5)
         first = int(np.argmax(u < 0.01)) + 1
         assert first > 1
-        out = run_test(cfg, _obs(0.3, 21))
+        out = run_test(trial, _obs(0.3, 21))
         assert out.tau >= first
         assert out.included_count >= 1
 
     def test_included_count_tracks_subsample_stream(self):
-        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.3), seed=8)
-        out = run_test(cfg, _obs(0.3, 8))
+        out = run_test(_trial(TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.3)), 8), _obs(0.3, 8))
         u = derive(StreamKey(8, substream=Substream.SUBSAMPLE)).random(out.tau)
         assert out.included_count == int(np.sum(u < 0.3))
 
     def test_included_count_of_an_exhausted_run(self):
         """A horizon too short to stop reports M over the whole horizon: the
         SUBSAMPLE uniforms below r among its first `horizon` draws."""
-        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.3), seed=8)
-        tau = run_test(cfg, _obs(0.3, 8)).tau
+        cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, 0.3))
+        tau = run_test(_trial(cfg, 8), _obs(0.3, 8)).tau
         assert tau > 129  # the last horizon ends in the second chunk
         for horizon in (1, 5, 128, 129, tau - 1):
-            out = run_test(replace(cfg, horizon=horizon), _obs(0.3, 8))
+            out = run_test(_trial(replace(cfg, horizon=horizon), 8), _obs(0.3, 8))
             assert (out.tau, out.decision, out.exhausted) == (horizon, None, True)
             u = derive(StreamKey(8, substream=Substream.SUBSAMPLE)).random(horizon)
             assert out.included_count == int(np.sum(u < 0.3))
@@ -334,6 +344,5 @@ class TestVariantOrdering:
         assert seeds
         swap_noise(spec, zero_correction=True)
         for seed in seeds:
-            cfg = TestConfig(HYP, 0.05, 0.05, Laplace(1.0), seed=seed)
-            out = run_test(cfg, iter([1]))
+            out = run_test(_trial(TestConfig(HYP, 0.05, 0.05, Laplace(1.0)), seed), iter([1]))
             assert (out.tau, out.decision) == (1, 0)

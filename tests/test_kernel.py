@@ -56,8 +56,10 @@ def _prepared(cfg):
     return TestKernel(cfg), run_test
 
 
-def _run(cfg, obs):
-    return _prepared(cfg)[1](cfg, obs)
+def _run(cfg, obs, seed=0):
+    """The trial of `seed`, run on a fresh kernel."""
+    kernel, run = _prepared(cfg)
+    return run(kernel.trial(seed), obs)
 
 
 @pytest.mark.parametrize("name", list(_configs(1.0)))
@@ -70,9 +72,11 @@ def test_reused_kernel_matches_fresh_runs(name):
     for seed in range(50):
         p = HYP.mu1 if seed % 2 else HYP.mu0
         reused = run(kernel.trial(seed), _obs(p, seed))
-        assert reused == _run(replace(cfg, seed=seed), _obs(p, seed))
+        assert reused == _run(cfg, _obs(p, seed), seed)
         assert reused == run(block[seed], _obs(p, seed))
         taus.append(reused.tau)
+    # a bare config runs the trial of seed 0
+    assert run(cfg, _obs(HYP.mu0, 0)) == run(_prepared(cfg)[0].trial(0), _obs(HYP.mu0, 0))
     if name != "classical":
         # some trials outrun the first chunk, so the tables grew in use
         assert max(taus) > 128
@@ -104,12 +108,12 @@ def test_a_trial_keys_only_the_roles_its_kernel_reads(name, pairs):
 
 @pytest.mark.parametrize("name", list(_configs(1.0)))
 def test_any_int_seed_acts_modulo_2_to_the_64(name):
-    """A config's seed may be any int: negative, or 2^64 and above; it keys
+    """A trial's seed may be any int: negative, or 2^64 and above; it keys
     the noise streams modulo 2^64, as `StreamKey.words` does."""
     cfg = _configs(1.0)[name]
     for seed in (-1, -(2**63), -(2**70) + 3, 2**64, 2**64 + 5, 3 * 2**64 - 1):
-        got = _run(replace(cfg, seed=seed), _obs(HYP.mu0, 3))
-        assert got == _run(replace(cfg, seed=seed % 2**64), _obs(HYP.mu0, 3))
+        got = _run(cfg, _obs(HYP.mu0, 3), seed)
+        assert got == _run(cfg, _obs(HYP.mu0, 3), seed % 2**64)
 
 
 def _outcomes():
@@ -188,7 +192,7 @@ def test_outcomes_do_not_depend_on_the_learned_first_chunk(name, eps, horizon):
         out = run_test(trial, _obs(HYP.mu1 if seed % 2 else HYP.mu0, seed))
         return out.tau, out.decision, out.exhausted
 
-    fresh = [outcome(TestKernel(replace(cfg, seed=seed)).trial(seed), seed) for seed in seeds]
+    fresh = [outcome(TestKernel(cfg).trial(seed), seed) for seed in seeds]
     forward, reverse = TestKernel(cfg), TestKernel(cfg)
     assert [outcome(forward.trial(seed), seed) for seed in seeds] == fresh
     assert [outcome(reverse.trial(seed), seed) for seed in reversed(seeds)] == fresh[::-1]

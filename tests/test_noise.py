@@ -157,6 +157,17 @@ class TestCorrection:
 
     def test_zero_family(self):
         assert correction(CorrectionParams(), NoiseFamily.ZERO, 5, 0.1) == 0.0
+        # at any delta: the classical test's, at gamma = 1, is 0
+        assert correction(CorrectionParams(), NoiseFamily.ZERO, 5, 0.0) == 0.0
+
+    def test_laplace_near_the_float_maximum(self):
+        """n * epsilon overflows to inf for epsilon near the float maximum,
+        and the correction takes its limit 0 there without a numpy overflow
+        warning (a RuntimeWarning fails the test)."""
+        n = np.arange(1.0, 11.0)
+        for eps in (1e308, np.finfo(np.float64).max):
+            c = correction_vec(CorrectionParams(epsilon=eps), NoiseFamily.LAPLACE, n, 0.05)
+            assert np.all(c[1:] == 0.0) and 0.0 <= c[0] < 1e-300
 
     def test_kappa_scales_linearly(self):
         base = CorrectionParams(s=2.0, epsilon=1.0)
