@@ -1,4 +1,4 @@
-"""Command-line front end: simulate | bounds | compare | tune-kappa.
+"""Command-line front end: simulate | bounds | tune-kappa.
 
 Every option is one key of OPTIONS, which declares its default text, its
 parser (type and range) and its help. A key can be set by its flag, by a line
@@ -12,7 +12,6 @@ tuning, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -149,7 +148,7 @@ OPTIONS = {
     # tau >= 1, so E[tau^2] >= 1
     "tau_sq_bound": ("", _number(1.0, open_lo=False, unset=""),
                      "asserted bound (>= 1) for the Gaussian RDP tau^2 term"),
-    "svg": ("no", _switch, "also write an SVG chart"),
+    "svg": ("no", _switch, "also write comparison.svg, mean tau against eps"),
     "bounds_eps": ("", _number(0.0, unset=""),
                    "privacy parameter; unset gives the non-private report"),
     "tune_eps": ("1.0", _number(0.0), "privacy parameter"),
@@ -252,7 +251,12 @@ def _variant(v, name, eps):
     return Gaussian(sy, sz)
 
 
-def _build_plan(v, truths):
+def _pilot_rng(v, cell):
+    """The generator of a cell's pilot paths: PrivSPRT calibration or tau^2 pilots."""
+    return derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
+
+
+def _build_plan(v):
     """The run's one plan: build the (variant family) x (epsilon grid)
     cells, each id once, then calibrate the PrivSPRT cells (a
     CalibrationError names the cell that failed), so that a config error
@@ -277,7 +281,7 @@ def _build_plan(v, truths):
                     cfg = TestConfig(hyp, alpha, beta, _variant(v, name, eps), gamma=gamma,
                                      s=v["s"], kappa=v["kappa"], horizon=horizon)
                 except ValueError as exc:
-                    if name != "gaussian":  # the Laplace noise or correction overflows
+                    if name != "gaussian" or "overflows" in str(exc):  # noise or correction
                         raise ConfigError(f"key 'eps': {exc}") from None
                     key = "alpha" if alpha > beta else "beta"  # the correction's domain
                     raise ConfigError(f"key {key!r}: {v[key]:g} is too large: {exc}") from None
@@ -285,10 +289,9 @@ def _build_plan(v, truths):
     calibration = {}
     for i, cell in enumerate(cells):
         if isinstance(cell.config, PrivSprtConfig):
-            rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
             try:
                 cal = calibrate_privsprt(cell.config, alpha, beta,
-                                         pilot_trials=v["privsprt_pilot"], rng=rng)
+                                         pilot_trials=v["privsprt_pilot"], rng=_pilot_rng(v, cell))
             except CalibrationError as exc:
                 raise CalibrationError(f"{cell.variant_id}: {exc}") from None
             calibration[cell.variant_id] = asdict(cal)
@@ -298,7 +301,7 @@ def _build_plan(v, truths):
     if v["kappa"] < 1.0:
         record["warning"] = "kappa < 1: no formal correctness guarantee"
         print("warning: kappa < 1 voids the formal correctness guarantee", file=sys.stderr)
-    return ExperimentPlan(truths, tuple(cells), v["trials"], v["seed"]), record
+    return ExperimentPlan(v["truth"], tuple(cells), v["trials"], v["seed"]), record
 
 
 def _write_outputs(args, opts, writers: dict, extra=None) -> None:
@@ -340,8 +343,7 @@ def _guarantees(v, cells) -> dict:
             if v["tau_sq_bound"] is not None:
                 tsq, source = v["tau_sq_bound"], "asserted"
             else:
-                rng = derive(StreamKey(v["seed"], fnv1a64(cell.variant_id), 0, Substream.PILOT))
-                tsq, reliable = estimate_tau_sq(cell.config, 100, rng)
+                tsq, reliable = estimate_tau_sq(cell.config, 100, _pilot_rng(v, cell))
                 source = "pilot:100" + ("" if reliable else ":unreliable")
             eps, order = (gaussian_epsilon(var.sigma_y, var.sigma_z, tsq, v["delta"])
                           if var.sigma_z**2 > 0.0 else (math.inf, None))
@@ -355,17 +357,21 @@ def _guarantees(v, cells) -> dict:
 
 
 def cmd_simulate(v, opts, args) -> int:
-    plan, record = _build_plan(v, v["truth"])
+    plan, record = _build_plan(v)
     guarantees = _guarantees(v, plan.variants)
     results = run_experiment(plan, workers=args.workers)
-    _write_outputs(
-        args, opts,
-        {
-            "trials.csv": lambda p: write_trials_csv(p, results),
-            "summary.csv": lambda p: write_summary_csv(p, results),
-        },
-        {"privacy_guarantees": guarantees, **record},
-    )
+    writers = {
+        "trials.csv": lambda p: write_trials_csv(p, results),
+        "summary.csv": lambda p: write_summary_csv(p, results),
+    }
+    if v["svg"]:
+        series = {}  # one per family and truth, named "laplace" at H0, "laplace H1" at H1
+        for res in results:
+            name = res.variant.variant_id.split("@", 1)[0] + (" H1" if res.truth else "")
+            series.setdefault(name, []).append((res.variant.epsilon, res.stats.mean_tau))
+        writers["comparison.svg"] = lambda p: write_line_chart(
+            p, series, "epsilon", "mean stopping time")
+    _write_outputs(args, opts, writers, {"privacy_guarantees": guarantees, **record})
     print(f"wrote {len(results)} summary rows to {args.out}")
     return EXIT_OK
 
@@ -402,42 +408,6 @@ def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def cmd_compare(v, opts, args) -> int:
-    plan, record = _build_plan(v, (0,))
-    results = run_experiment(plan, workers=args.workers)
-
-    rows = []
-    for res in results:
-        s = res.stats
-        rows.append([res.variant.epsilon, res.variant.variant_id.split("@", 1)[0], s.mean_tau,
-                     s.tau_p5, s.tau_p95, s.error_rate, s.error_ci_halfwidth])
-
-    def write_comparison(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "variant_id", "mean_tau", "tau_p5", "tau_p95",
-                        "type1_hat", "type1_ci"])
-            w.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in rows)
-
-    writers = {
-        "trials.csv": lambda p: write_trials_csv(p, results),
-        "summary.csv": lambda p: write_summary_csv(p, results),
-        "comparison.csv": write_comparison,
-    }
-    if v["svg"]:
-        series = {}
-        for eps, family, mean_tau, *_ in rows:
-            series.setdefault(family, []).append((eps, mean_tau))
-
-        def write_svg(path):
-            write_line_chart(path, series, "epsilon", "mean stopping time")
-
-        writers["comparison.svg"] = write_svg
-    _write_outputs(args, opts, writers, record)
-    print(f"wrote comparison for {len(rows)} cells to {args.out}")
-    return EXIT_OK
 
 
 def cmd_tune_kappa(v, opts, args) -> int:
@@ -486,16 +456,14 @@ def cmd_tune_kappa(v, opts, args) -> int:
 
 
 _INSTANCE = ("p0", "p1", "alpha", "beta", "gamma")
-_GRID = ("seed", "trials") + _INSTANCE + ("rate", "s", "kappa", "horizon", "eps", "variants",
-                                          "delta", "privsprt_pilot")
 # subcommand: (handler, default output directory, help, option keys)
 COMMANDS = {
     "simulate": (cmd_simulate, "out", "run a seeded Monte Carlo experiment grid",
-                 _GRID + ("truth", "accounting", "tau_sq_bound")),
+                 ("seed", "trials") + _INSTANCE + ("rate", "s", "kappa", "horizon", "eps",
+                                                   "variants", "delta", "privsprt_pilot", "truth",
+                                                   "accounting", "tau_sq_bound", "svg")),
     "bounds": (cmd_bounds, None, "emit the bound report for one instance",
                _INSTANCE + ("s", "kappa", "bounds_eps")),
-    "compare": (cmd_compare, "out", "calibrate PrivSPRT and run a head-to-head grid",
-                _GRID + ("svg",)),
     "tune-kappa": (cmd_tune_kappa, None, "search the smallest correction scale whose "
                    "pilot errors stay below the targets",
                    ("seed",) + _INSTANCE + ("s", "horizon", "tune_eps", "tune_kappa_grid",

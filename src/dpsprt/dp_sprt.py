@@ -138,9 +138,9 @@ class TestConfig:
     correction's epsilon or sigma^2-sum; `s` and `kappa` are the
     correction's own (see :class:`CorrectionParams`). A test with s <= 1 or
     kappa outside (0, 1] raises ValueError, as does a Gaussian test without
-    gamma, or whose correction is undefined at n = 1, at
-    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), and a Laplace test whose
-    noise or correction overflows.
+    gamma, whose correction is undefined at n = 1, at
+    2 * (1 - gamma) * max(alpha, beta) >= zeta(s), or overflows by the
+    horizon, and a Laplace test whose noise or correction overflows.
     """
 
     hypotheses: HypothesisPair
@@ -161,7 +161,13 @@ class TestConfig:
             raise ValueError("horizon must be a positive integer")
         res = _resolve(self)  # raises on s, kappa, and a Gaussian test without gamma
         if isinstance(self.variant, Gaussian):
-            _corrections(res, np.ones(1))  # raises outside the domain
+            # raises outside the domain, at n = 1; 2 * sigma_sum_sq * log_arg
+            # grows with n, so if it overflows, it does at the horizon
+            with np.errstate(over="ignore"):
+                top = np.max(_corrections(res, np.array([1.0, float(self.horizon)])))
+            if not np.isfinite(top):
+                raise ValueError(f"the gaussian correction overflows by the horizon "
+                                 f"{self.horizon}: the noise variance is too large")
         elif isinstance(self.variant, (Laplace, LaplaceSub)):
             # C(n, delta) peaks at some n <= 3, and no draw reaches 37 scales
             with np.errstate(over="ignore"):

@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line charts, on log axes, for comparison output."""
+"""Minimal dependency-free SVG line charts on log axes, for `simulate --svg`."""
 
 from __future__ import annotations
 

@@ -90,7 +90,7 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * 2  # two variants, both truths
         guarantees = manifest["privacy_guarantees"]
         assert guarantees["laplace@eps=1"]["kind"] == "pure_dp"
-        assert manifest["version"] == "0.4.0"
+        assert manifest["version"] == "0.5.0"
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -353,14 +353,17 @@ class TestSimulate:
 
 
 class TestCompare:
+    """The head-to-head grid, PrivSPRT against the DP-SPRT variants, as
+    `simulate` runs it; the `compare` subcommand did this before 0.5.0."""
+
     def test_head_to_head_with_privsprt(self, tmp_path):
         out = tmp_path / "cmp"
-        rc = main(["compare", "--trials", "30", "--eps", "1", "--seed", "7",
+        rc = main(["simulate", "--trials", "30", "--eps", "1", "--seed", "7",
                    "--privsprt-pilot", "60", "--out", str(out), "--workers", "1", "--svg"])
         assert rc == EXIT_OK
-        with (out / "comparison.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        families = {r["variant_id"] for r in rows}
+        with (out / "summary.csv").open() as fh:
+            rows = [r for r in csv.DictReader(fh) if r["truth"] == "H0"]
+        families = {r["variant_id"].split("@", 1)[0] for r in rows}
         assert families == {"classical", "laplace", "gaussian", "laplace_sub", "privsprt"}
         for r in rows:
             assert float(r["mean_tau"]) > 0
@@ -370,7 +373,7 @@ class TestCompare:
         """At horizon 1 every trial is exhausted and every mean tau is nan:
         the chart keeps its axes and labels, and the run writes its manifest."""
         out = tmp_path / "ex"
-        rc = main(["compare", "--horizon", "1", "--trials", "3", "--eps", "5",
+        rc = main(["simulate", "--horizon", "1", "--trials", "3", "--eps", "5",
                    "--variants", "classical,laplace", "--svg", "--workers", "1",
                    "--out", str(out)])
         assert rc == EXIT_OK
@@ -380,29 +383,48 @@ class TestCompare:
         assert "epsilon" in svg and "mean stopping time" in svg
         assert "<polyline" not in svg and "<circle" not in svg
 
-    def test_rerun_from_compare_manifest(self, tmp_path):
-        args = ["compare", "--trials", "20", "--eps", "1", "--seed", "3",
-                "--privsprt-pilot", "30", "--workers", "1", "--svg"]
-        out1, out2 = tmp_path / "c1", tmp_path / "c2"
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        rc = main(["compare", "--config", str(out1 / "manifest.json"),
-                   "--out", str(out2), "--workers", "1"])
-        assert rc == EXIT_OK
-        for name in ("comparison.csv", "comparison.svg", "trials.csv", "summary.csv"):
-            assert _read(out1 / name) == _read(out2 / name)
-        first, second = (json.loads((out / "manifest.json").read_text())["privsprt_calibration"]
-                         for out in (out1, out2))
-        assert list(first) == ["privsprt@eps=1"] and second == first
+    # The manifest that 0.4.0's `compare --trials 20 --eps 1 --seed 3
+    # --privsprt-pilot 30 --svg` wrote, less its time stamp and outputs, and
+    # the SHA-256 of the trials.csv, summary.csv and comparison.svg it wrote
+    COMPARE_040 = {
+        "tool": "dpsprt", "version": "0.4.0", "command": "compare",
+        "config": {"seed": "3", "trials": "20", "p0": "0.3", "p1": "0.7", "alpha": "0.05",
+                   "beta": "0.05", "gamma": "auto", "rate": "auto", "s": "2.0", "kappa": "1.0",
+                   "horizon": "1000000", "eps": "1",
+                   "variants": "classical,laplace,gaussian,laplace_sub,privsprt",
+                   "delta": "1e-5", "privsprt_pilot": "30", "svg": "yes"},
+        "privsprt_calibration": {"privsprt@eps=1": {
+            "thresh_a": 374.4665341942489, "thresh_b": 374.4665341942489,
+            "pilot_type1": 0.0, "pilot_type2": 0.0, "pilot_trials": 30}},
+    }
+    COMPARE_040_SHA256 = {
+        "trials.csv": "8e208c4366434f1420cf602c709a3da8af90256682c69f158083e08cff4675f3",
+        "summary.csv": "c00b26b0a828403f181f5e4b6e4e4806aff2ed30a71ddd1aeeefdd6ac5547397",
+        "comparison.svg": "47ee0ad0cfc0b5f1b7050445b7499377a3201481c511bf927b0baa11bf9958ee",
+    }
 
-    # SHA-256 of (trials.csv, summary.csv, comparison.csv) of the run below,
-    # as written before `compare` flagged kappa < 1: the flag leaves them be
+    def test_rerun_from_compare_manifest(self, tmp_path):
+        """A 0.4.0 `compare` manifest replays through `simulate`: the same
+        CSVs, chart and calibration."""
+        saved = tmp_path / "manifest.json"
+        saved.write_text(json.dumps(self.COMPARE_040))
+        out = tmp_path / "c"
+        rc = main(["simulate", "--config", str(saved), "--out", str(out), "--workers", "1"])
+        assert rc == EXIT_OK
+        got = {name: hashlib.sha256(_read(out / name)).hexdigest()
+               for name in self.COMPARE_040_SHA256}
+        assert got == self.COMPARE_040_SHA256
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["privsprt_calibration"] == self.COMPARE_040["privsprt_calibration"]
+
+    # SHA-256 of (trials.csv, summary.csv) of the run below, as written
+    # before kappa < 1 was flagged: the flag leaves them be
     KAPPA_HALF = ("48b37a2881a881a15f133dee3864a1bb16239b52b11725d79ee00cb2ee03dc8d",
-                  "7929ee6ad6839d069bb5254ad834255bfabdb8650a1d3c2885423ee2e3c8405c",
-                  "6803ed265f86c3782b9a484f8eda7be7c6e4a9bc2ce3389f6af1ee2298fb136f")
+                  "7929ee6ad6839d069bb5254ad834255bfabdb8650a1d3c2885423ee2e3c8405c")
 
     def test_kappa_below_one_is_flagged(self, tmp_path, capsys):
         out = tmp_path / "k"
-        rc = main(["compare", "--trials", "20", "--eps", "1,5", "--seed", "7", "--kappa", "0.5",
+        rc = main(["simulate", "--trials", "20", "--eps", "1,5", "--seed", "7", "--kappa", "0.5",
                    "--variants", "classical,laplace,gaussian,laplace_sub", "--workers", "1",
                    "--out", str(out)])
         assert rc == EXIT_OK
@@ -411,12 +433,12 @@ class TestCompare:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warning"] == "kappa < 1: no formal correctness guarantee"
         got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
-                    for name in ("trials.csv", "summary.csv", "comparison.csv"))
+                    for name in ("trials.csv", "summary.csv"))
         assert got == self.KAPPA_HALF
 
     def test_calibration_failure_exit_code(self, tmp_path, capsys):
         # a horizon too short for any pilot path to decide
-        rc = main(["compare", "--trials", "10", "--eps", "1", "--seed", "7",
+        rc = main(["simulate", "--trials", "10", "--eps", "1", "--seed", "7",
                    "--horizon", "5", "--privsprt-pilot", "20",
                    "--out", str(tmp_path / "x"), "--workers", "1"])
         assert rc == EXIT_INFEASIBLE
@@ -482,11 +504,8 @@ class TestTuneKappa:
 HELP_FLAGS = {
     "simulate": "--accounting --alpha --beta --config --delta --eps --gamma --help "
                 "--horizon --kappa --out --p0 --p1 --privsprt-pilot --rate "
-                "--s --seed --tau-sq-bound --trials --truth --variants --workers",
+                "--s --seed --svg --tau-sq-bound --trials --truth --variants --workers",
     "bounds": "--alpha --beta --config --eps --gamma --help --kappa --out --p0 --p1 --s",
-    "compare": "--alpha --beta --config --delta --eps --gamma --help --horizon --kappa "
-               "--out --p0 --p1 --privsprt-pilot --rate --s --seed --svg --trials "
-               "--variants --workers",
     "tune-kappa": "--alpha --beta --config --confirm-trials --eps --gamma --help "
                   "--horizon --kappa-grid --out --p0 --p1 --pilot-trials --s --seed --workers",
 }
@@ -500,6 +519,20 @@ def test_help_flags_are_pinned(command, capsys):
     assert flags == set(HELP_FLAGS[command].split())
 
 
+def test_readme_command_lines_match_the_cli(capsys):
+    """The `dpsprt <command>` lines of README's "Command line" block name
+    exactly the subcommands, and each flag on them is one its --help shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("dpsprt ")]
+    assert [words[1] for words in lines] == list(COMMANDS)
+    for _, command, *words in lines:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert {w for w in words if w.startswith("--")} <= shown, command
+
+
 SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
 
 
@@ -508,7 +541,7 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
     (["simulate", "--tau-sq-bound", "1e-9"] + SMALL_GRID, None),
     (["simulate", "--tau-sq-bound", "inf"] + SMALL_GRID, None),
     (["simulate"] + SMALL_GRID, "accounting = maybe"),
-    (["compare"] + SMALL_GRID, "svg = true"),
+    (["simulate"] + SMALL_GRID, "svg = true"),
     (["simulate"] + SMALL_GRID, {"tau_sq_bound": "0.5"}),
     (["tune-kappa", "--pilot-trials", "5", "--confirm-trials", "5"], {"tune_eps": "abc"}),
     (["simulate", "--trials", "5", "--eps", "5,1e300", "--variants", "classical,gaussian"], None),
@@ -517,8 +550,6 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
       "laplace"], None),
     (["simulate", "--trials", "2", "--horizon", "10", "--eps", "5,1e-320", "--variants",
       "classical,laplace_sub"], None),
-    (["compare", "--trials", "2", "--horizon", "10", "--eps", "1e-308", "--variants",
-      "laplace"], None),
     (["tune-kappa", "--eps", "1e-320", "--pilot-trials", "2", "--confirm-trials", "2",
       "--horizon", "10"], None),
     (["simulate", "--trials", "3", "--eps", "1", "--variants", "gaussian", "--beta", "0.6",
@@ -529,7 +560,7 @@ SMALL_GRID = ["--trials", "5", "--eps", "5", "--variants", "gaussian"]
         "accounting-cfg", "svg-cfg",
         "tau_sq_bound-manifest", "tune_eps-manifest", "gaussian-variance-underflow",
         "gaussian-variance-overflow", "laplace-overflow", "laplace_sub-overflow",
-        "compare-laplace-overflow", "tune-kappa-laplace-overflow", "gaussian-domain-s",
+        "tune-kappa-laplace-overflow", "gaussian-domain-s",
         "gaussian-domain-beta"])
 def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     """A bad value from a flag, a config line or a manifest exits 2 before
@@ -548,13 +579,19 @@ def test_bad_value_fails_before_any_trial(tmp_path, capsys, argv, saved):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps, fate", [("1e300", "underflows to 0"), ("1e-300", "overflows")])
+@pytest.mark.parametrize("eps, fate", [
+    ("1e300", "underflows to 0"), ("1e-300", "overflows"),
+    # a variance whose correction, finite at n = 1 at 5e-153 but not at
+    # 2e-153, overflows by the horizon, silently or with a numpy warning
+    ("5e-153", "correction overflows by the horizon 50"),
+    ("2e-153", "correction overflows by the horizon 50")])
 def test_gaussian_variance_out_of_range_names_eps(tmp_path, capsys, eps, fate):
-    argv = ["simulate", "--trials", "1", "--horizon", "10", "--eps", eps,
+    argv = ["simulate", "--trials", "1", "--horizon", "50", "--eps", eps,
             "--variants", "gaussian", "--workers", "1", "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "key 'eps'" in err and fate in err
+    assert not (tmp_path / "out").exists()
 
 
 def _no_trials(monkeypatch):
@@ -587,7 +624,7 @@ def test_gaussian_correction_domain_names_the_key(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("argv, key", [
     (["simulate", "--variants", "laplace,privsprt", "--eps", "1e-308", "--trials", "2"], "eps"),
     (["simulate", "--variants", "laplace_sub", "--eps", "1e-320", "--trials", "2"], "eps"),
-    (["compare", "--variants", "classical,laplace", "--eps", "5,1e-308", "--trials", "2"], "eps"),
+    (["simulate", "--variants", "classical,laplace", "--eps", "5,1e-308", "--trials", "2"], "eps"),
     (["tune-kappa", "--eps", "1e-320", "--kappa-grid", "0.5,1"], "tune_eps"),
 ])
 def test_laplace_overflow_names_eps(tmp_path, capsys, monkeypatch, argv, key):
@@ -708,7 +745,7 @@ def test_every_key_is_parsed_before_its_subcommand_runs(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("command", ["simulate"])
 @pytest.mark.parametrize("argv, key, cell", [
     (["--variants", "laplace,laplace", "--eps", "0.1"], "variants", "laplace@eps=0.1"),
     (["--variants", "laplace", "--eps", "1,1"], "eps", "laplace@eps=1"),

@@ -114,6 +114,17 @@ class TestDefaults:
         lap = TestConfig(HYP, alpha, beta, Laplace(1.0), gamma=gamma, s=s)
         assert math.isfinite(threshold_upper(lap, 1))
 
+    def test_gaussian_correction_overflow_fails_at_construction(self):
+        """2 * sigma_sum_sq * log_arg grows with n: at eps 1.2e-152 the
+        correction is finite at n = 1 but overflows by the default horizon
+        of 10^6 steps, so the test fails at construction; at horizon 1 it
+        is finite."""
+        gauss = Gaussian(*gaussian_scales(1.2e-152))
+        with pytest.raises(ValueError, match="overflows by the horizon 1000000"):
+            TestConfig(HYP, 0.05, 0.05, gauss, gamma=0.5)
+        cfg = TestConfig(HYP, 0.05, 0.05, gauss, gamma=0.5, horizon=1)
+        assert 4e153 < threshold_upper(cfg, 1) < math.inf
+
     @pytest.mark.parametrize("variant", [Laplace(1e-308), LaplaceSub(1e-320, 0.5),
                                          Laplace(1e-306)], ids=["scale", "sub", "draw"])
     def test_laplace_overflow_fails_at_construction(self, variant):

@@ -279,7 +279,7 @@ class TestStepOneLaw:
         assert cli.main(args + ["--out", str(out)]) == cli.EXIT_OK
         notes = json.loads((out / "manifest.json").read_text())["privacy_guarantees"]
         v = cli._parse(cli._resolve_options(cli._build_parser().parse_args(args)))
-        plan, _ = cli._build_plan(v, (0,))
+        plan, _ = cli._build_plan(v)
         kinds = {cell.variant_id: notes[cell.variant_id]["kind"] for cell in plan.variants}
         for cell in plan.variants:
             if kinds[cell.variant_id] == "pure_dp":
