@@ -37,8 +37,8 @@ __all__ = [
     "calibrate_privsprt",
 ]
 
-# steps per pilot-path extension, in a run's first chunk, and per piece a
-# run checks: PrivSPRT stops about twice as late as the Laplace test at the
+# steps per pilot-path extension, at most in a run's first chunk, and per
+# piece a run checks: PrivSPRT stops about twice as late as the Laplace test at the
 # same epsilon
 _CHUNK = 512
 # pilot paths extended together in one block array; a cap keeps the block
@@ -146,8 +146,8 @@ class PrivSprtKernel(Kernel):
         super().__init__(cfg, 2)
         self._inc = _clamped_llr(cfg)
 
-    def _first_chunk(self) -> int:
-        return _CHUNK
+    def _first_max(self) -> int:
+        return _CHUNK  # a first chunk of one piece
 
     def _checks(self, chunks, rng_y, rng_z):
         cfg = self.cfg
@@ -161,7 +161,8 @@ class PrivSprtKernel(Kernel):
                 yield n_done, stat >= hi, stat <= lo, None
                 continue
             u = uniform_open(rng_y, 2 * bits.size)
-            # pieces of _CHUNK steps (a chunk cut at the horizon is one piece)
+            # pieces of _CHUNK steps; a chunk of another size, a short first
+            # one or one cut at the horizon, is one piece
             size = _CHUNK if bits.size % _CHUNK == 0 else bits.size
             top, bot = _extremes(stat.reshape(-1, size), u.reshape(-1, 2 * size), cfg.sigma2)
             for i in np.flatnonzero((top >= hi) | (bot <= lo)):

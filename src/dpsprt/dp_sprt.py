@@ -17,9 +17,9 @@ by r, with unchanged Laplace scales; a step with M_n = 0 compares nothing.
 
 All variants, and the PrivSPRT baseline, run in one chunked first-exit
 loop, `Kernel.run`. A kernel is prepared once per configuration and reused
-across trials, and `TestKernel` sizes a trial's first chunk from the
-stopping times of the trials it has run; `run_test` on a bare configuration
-prepares one for a single trial.
+across trials, and sizes a trial's first chunk from the stopping times of
+the trials it has run; `run_test` on a bare configuration prepares one for
+a single trial.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ __all__ = [
 
 _CHUNK_START = 128
 # chunks double up to this cap: larger chunks overshoot the stopping time by
-# more, and their noise arrays stop fitting in the CPU cache. A TestKernel's
+# more, and their noise arrays stop fitting in the CPU cache. A kernel's
 # learned first chunk may pass it, up to 8 caps.
 _CHUNK_CAP = 4096
 
@@ -270,7 +270,11 @@ def _resolve(cfg: TestConfig) -> _Resolved:
         if isinstance(v, LaplaceSub):
             rate = v.rate
     elif isinstance(v, Gaussian):
-        spec, sigma_sum_sq = NoiseSpec.gaussian(v.sigma_y, v.sigma_z), v.sigma_y**2 + v.sigma_z**2
+        try:
+            sigma_sum_sq = v.sigma_y**2 + v.sigma_z**2
+        except OverflowError:
+            raise ValueError("the gaussian noise variance sigma_y^2 + sigma_z^2 overflows") from None
+        spec = NoiseSpec.gaussian(v.sigma_y, v.sigma_z)
         if gamma is None:
             raise ValueError("Gaussian variant needs an explicit gamma")
     else:
@@ -339,10 +343,10 @@ class Trial(NamedTuple):
 class Kernel:
     """A test prepared once and run for many trials: the first-exit loop.
 
-    It keys only the noise roles it reads, the first `roles` of
-    `rngcore.NOISE_ROLES`, for a block of seeds (`trials`) or one (`trial`).
-    A run resets the kernel's noise generators, one per role, to the start
-    of the trial's streams, walks the observations in chunks that start at
+    It keys the first `roles` of `rngcore.NOISE_ROLES` for a block of seeds
+    (`trials`) or one (`trial`). A run resets the kernel's noise generators,
+    one per role it draws from (none if `draws` is false), to the start of
+    the trial's streams, walks the observations in chunks that start at
     `_first_chunk()` steps and double up to _CHUNK_CAP, and halts at the
     first step where either of the test's two checks fires; the first check
     wins a tie, and DECISIONS gives each check's decision. A subclass's
@@ -354,11 +358,12 @@ class Kernel:
 
     DECISIONS: tuple[int, int]
 
-    def __init__(self, cfg, roles: int):
+    def __init__(self, cfg, roles: int, draws: bool = True):
         self.cfg = cfg
         self._roles = NOISE_ROLES[:roles]
         # placeholders keyed at seed 0: a run rekeys them to its trial's streams
-        self._rngs = [derive(StreamKey(0, substream=role)) for role in self._roles]
+        self._rngs = [derive(StreamKey(0, substream=role)) for role in self._roles if draws]
+        self._runs = self._tau_sum = 0
 
     def trials(self, seeds) -> list[Trial]:
         """The trials of a block of seeds (a uint64 array, or a sequence of
@@ -371,6 +376,18 @@ class Kernel:
         """The trial of one seed, an int of any size taken modulo 2^64."""
         return Trial(self, stream_words(seed, substream=self._roles).tolist())
 
+    def _first_max(self) -> int:
+        return 8 * _CHUNK_CAP
+
+    def _first_chunk(self) -> int:
+        """1.25 times the mean tau of the runs so far, rounded up to a
+        multiple of _CHUNK_START, at least _CHUNK_START and at most
+        `_first_max()`; _CHUNK_START before the first run."""
+        if not self._runs:
+            return _CHUNK_START
+        learned = -(-5 * self._tau_sum // (4 * _CHUNK_START * self._runs)) * _CHUNK_START
+        return min(max(learned, _CHUNK_START), self._first_max())
+
     def run(self, words, observations: Iterable[int]) -> TestOutcome:
         """Run the trial whose noise streams `words` key (see :class:`Trial`)."""
         for rng, key in zip(self._rngs, words):
@@ -382,10 +399,14 @@ class Kernel:
             fired = first | second
             if fired.any():
                 i = int(np.argmax(fired))
-                tau = n_done + i + 1
                 decision = self.DECISIONS[0 if first[i] else 1]
-                return TestOutcome(tau, decision, False, None if m is None else int(m[i]))
-        return TestOutcome(horizon, None, True, None if m is None else int(m[-1]))
+                out = TestOutcome(n_done + i + 1, decision, False, None if m is None else int(m[i]))
+                break
+        else:
+            out = TestOutcome(horizon, None, True, None if m is None else int(m[-1]))
+        self._runs += 1
+        self._tau_sum += out.tau
+        return out
 
 
 class TestKernel(Kernel):
@@ -397,77 +418,63 @@ class TestKernel(Kernel):
     they hold only the n-only correction terms, and the budget term, which
     divides by the included count, is added per chunk.
 
-    It sizes a run's first chunk from the stopping times of its runs so far.
     Any chunking gives the same outcome: S_n is an integer cumsum, every
     threshold is a function of n alone, and each noise stream draws one
-    word per value.
+    word per value. The classical test draws no noise.
     """
 
     DECISIONS = (0, 1)  # the lower check comes first
 
     def __init__(self, cfg: TestConfig):
         self._sub = isinstance(cfg.variant, LaplaceSub)
-        super().__init__(cfg, 3 if self._sub else 2)
+        super().__init__(cfg, 3 if self._sub else 2, not isinstance(cfg.variant, Classical))
         self._res = _resolve(cfg)
-        self._lo = self._hi = np.empty(0)
-        self._runs = self._tau_sum = 0
-
-    def _first_chunk(self) -> int:
-        """1.25 times the mean tau of the runs so far, rounded up to a
-        multiple of _CHUNK_START, at least _CHUNK_START and at most 8 caps;
-        _CHUNK_START before the first run."""
-        if not self._runs:
-            return _CHUNK_START
-        learned = -(-5 * self._tau_sum // (4 * _CHUNK_START * self._runs)) * _CHUNK_START
-        return min(max(learned, _CHUNK_START), 8 * _CHUNK_CAP)
-
-    def run(self, words, observations: Iterable[int]) -> TestOutcome:
-        out = super().run(words, observations)
-        self._runs += 1
-        self._tau_sum += out.tau
-        return out
+        self._n = self._lo = self._hi = np.empty(0)
 
     def _thresholds(self, start: int, stop: int, m) -> tuple[np.ndarray, np.ndarray]:
         """Thresholds at steps start+1..stop; `m` holds the included counts
-        there for the subsampled rule. Grows the tables to cover `stop`, at
-        least doubling them."""
-        if self._lo.size < stop:
-            size = min(max(stop, 2 * self._lo.size), self.cfg.horizon)
-            n = np.arange(1, size + 1, dtype=np.float64)
-            self._lo, self._hi = _corrections(self._res, n)
+        there for the subsampled rule. Grows the tables, and their step
+        counts `_n`, to cover `stop`, at least doubling them."""
+        if self._n.size < stop:
+            size = min(max(stop, 2 * self._n.size), self.cfg.horizon)
+            self._n = np.arange(1, size + 1, dtype=np.float64)
+            self._lo, self._hi = _corrections(self._res, self._n)
             if not self._sub:
                 self._lo, self._hi = _thresholds_vec(
-                    self.cfg.hypotheses, self._res, n, self._lo, self._hi
+                    self.cfg.hypotheses, self._res, self._n, self._lo, self._hi
                 )
         lo, hi = self._lo[start:stop], self._hi[start:stop]
         if not self._sub:
             return lo, hi
+        # where M_n = 0 (so S_n = 0) they are -inf and +inf, and neither
+        # check can fire
         return _thresholds_vec(self.cfg.hypotheses, self._res, m, lo, hi)
 
-    def _checks(self, chunks, rng_y, rng_z, rng_b=None):
+    def _checks(self, chunks, rng_y=None, rng_z=None, rng_b=None):
+        # the plain rule is the subsampled one at rate 1.0 with M_n = n, and
+        # the classical one that with zero noise; each skips what is an exact
+        # no-op for it: a product by 1.0, max(n, 1), and adding 0
         res = self._res
-        rate = res.rate
-        z = float(sample_z(res.spec, rng_z))
-        s_carry = m_carry = 0
+        rz = None if rng_z is None else res.rate * float(sample_z(res.spec, rng_z))
+        s_carry, m_carry, counts = 0, 0, None
         for n_done, bits in chunks:
-            got = bits.size
-            n = np.arange(n_done + 1, n_done + got + 1, dtype=np.float64)
-            y = np.atleast_1d(sample_y(res.spec, rng_y, got))
-            # the plain rule is the subsampled one at rate 1.0 with M_n = n,
-            # and a product by 1.0 is exact
-            m, counts = n, None
+            stop = n_done + bits.size
             if rng_b is not None:
-                include = rng_b.random(got) < rate
+                include = rng_b.random(bits.size) < res.rate
                 bits = bits * include
-                m = counts = m_carry + np.cumsum(include)
-                m_carry = int(m[-1])
+                counts = m_carry + np.cumsum(include)
+                m_carry = int(counts[-1])
+            lower, upper = self._thresholds(n_done, stop, counts)
+            n = self._n[n_done:stop]
             s = s_carry + np.cumsum(bits)
             s_carry = int(s[-1])
-            lower, upper = self._thresholds(n_done, n_done + got, m)
-            # where M_n = 0 (so S_n = 0) the thresholds are -inf and +inf,
-            # and neither check can fire
-            stat = s / np.maximum(m, 1) + rate * y / n
-            yield n_done, stat <= lower - rate * z / n, stat >= upper + rate * z / n, counts
+            stat = s / (n if counts is None else np.maximum(counts, 1))
+            if rng_y is not None:
+                y = sample_y(res.spec, rng_y, bits.size)
+                stat += (y if rng_b is None else res.rate * y) / n
+                zn = rz / n
+                lower, upper = lower - zn, upper + zn
+            yield n_done, stat <= lower, stat >= upper, counts
 
 
 def run_test(cfg: TestConfig | Trial, observations: Iterable[int]) -> TestOutcome:

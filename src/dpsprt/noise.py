@@ -115,7 +115,8 @@ class CorrectionParams:
 
 def _laplace_from_uniform(u, scale):
     centered = u - 0.5
-    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    # the inverse CDF -scale * sign(c) * log1p(-2|c|), its sign set exactly by copysign
+    return -scale * np.copysign(np.log1p(-2.0 * np.abs(centered)), -centered)
 
 
 def _gaussian_from_uniform(u, scale):

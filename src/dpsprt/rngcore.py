@@ -13,6 +13,7 @@ vectorised pass, so a block of trials keys all its streams at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -86,15 +87,32 @@ class StreamKey:
 
     def words(self) -> tuple[int, int]:
         """Collision-resistant 128-bit key derived from the fields."""
-        h = mix64(self.master_seed & _MASK64)
-        h = mix64(h ^ mix64(self.variant_id & _MASK64))
+        # the (master seed, variant) half is shared by a cell's trials, and cached
+        h = _cell_hash(self.master_seed & _MASK64, self.variant_id & _MASK64)
         h = mix64(h ^ mix64(self.trial & _MASK64))
         h = mix64(h ^ mix64(int(self.substream)))
         return h, mix64(h ^ _WORD1_TAG)
 
 
+@functools.lru_cache(maxsize=256)
+def _cell_hash(master_seed: int, variant_id: int) -> int:
+    return mix64(mix64(master_seed) ^ mix64(variant_id))
+
+
 # the roles of a trial's noise streams, in the order its keys list them
 NOISE_ROLES = (Substream.NOISE_Y, Substream.NOISE_Z, Substream.SUBSAMPLE)
+
+
+class _KeySeed(np.random.bit_generator.ISeedSequence):
+    """A key's two words as the seed Philox keys itself from: the state of
+    ``Philox(key=words)``, without the SeedSequence of OS entropy that
+    Philox would build first, only for the key to override it."""
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self._words, dtype=np.uint64)  # Philox asks for (2, np.uint64)
 
 
 def derive(key: StreamKey) -> np.random.Generator:
@@ -103,9 +121,7 @@ def derive(key: StreamKey) -> np.random.Generator:
     Philox has an integer-only, platform-independent state transition, so
     derived streams are reproducible across architectures.
     """
-    w0, w1 = key.words()
-    bitgen = np.random.Philox(key=np.array([w0, w1], dtype=np.uint64))
-    return np.random.Generator(bitgen)
+    return np.random.Generator(np.random.Philox(seed=_KeySeed(key.words())))
 
 
 # the state setter reads the words one by one; Python ints read faster

@@ -125,6 +125,14 @@ class TestDefaults:
         cfg = TestConfig(HYP, 0.05, 0.05, gauss, gamma=0.5, horizon=1)
         assert 4e153 < threshold_upper(cfg, 1) < math.inf
 
+    def test_gaussian_variance_overflow_fails_with_value_error(self):
+        """At eps 1e-160 sigma_Y is about 1e161, and sigma_Y^2 overflows a
+        float: the configuration is rejected with the ValueError its
+        docstring promises, naming the variance, not an OverflowError."""
+        gauss = Gaussian(*gaussian_scales(1e-160))
+        with pytest.raises(ValueError, match="noise variance"):
+            TestConfig(HYP, 0.05, 0.05, gauss, gamma=0.5)
+
     @pytest.mark.parametrize("variant", [Laplace(1e-308), LaplaceSub(1e-320, 0.5),
                                          Laplace(1e-306)], ids=["scale", "sub", "draw"])
     def test_laplace_overflow_fails_at_construction(self, variant):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,52 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         assert run_experiment(plan, workers=64) == serial
         assert sizes == [3]
+
+    def test_each_trial_derives_its_observation_stream_then_runs(self, monkeypatch):
+        """The benchmark's tracer (`perfbench/spans.py`) marks a trial at the
+        harness's `derive` of its observation stream, and times the run call
+        that follows, through the harness's module globals; it counts the
+        words each derived generator drew. So every trial, of every kind of
+        kernel, is one `derive` of its OBS key, carrying the trial's index
+        and its cell's hash, then one run call that reads a generator of
+        its own, in trial order."""
+        import dpsprt.harness as harness
+        from dpsprt.baselines import PrivSprtConfig
+
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args):
+                calls.append([name, args, None])
+                call = calls[-1]
+                call[2] = fn(*args)
+                return call[2]
+
+            return wrapper
+
+        for name in ("derive", "run_test", "run_privsprt"):
+            monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
+        priv = PrivSprtConfig.from_epsilon(HYP, 5.0)
+        cells = [
+            _classical_variant(),
+            PlannedVariant("laplace@eps=5", TestConfig(HYP, 0.05, 0.05, Laplace(5.0)), 5.0),
+            PlannedVariant("privsprt@eps=5", replace(priv, thresh_a=75.0, thresh_b=75.0), 5.0),
+        ]
+        results = run_experiment(ExperimentPlan((0, 1), tuple(cells), 7, 2024), workers=1)
+
+        assert len(calls) == 2 * len(results) * 7
+        pairs = iter(zip(calls[0::2], calls[1::2]))
+        for res in results:
+            run = "run_privsprt" if isinstance(res.variant.config, PrivSprtConfig) else "run_test"
+            vid = fnv1a64(res.variant.variant_id)
+            for record in res.trials:
+                (name, (key,), rng), (run_name, (prepared, obs), out) = next(pairs)
+                assert name == "derive" and run_name == run
+                assert key == StreamKey(2024, vid, record.trial, Substream.OBS)
+                assert prepared.kernel.cfg is res.variant.config and obs._rng is rng
+                assert (out.tau, out.decision) == (record.tau, record.decision)
+        generators = [rng for name, _, rng in calls if name == "derive"]
+        assert len({id(rng.bit_generator) for rng in generators}) == len(generators)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_rejected(self, workers):

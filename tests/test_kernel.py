@@ -178,6 +178,43 @@ def test_first_chunk_is_learned_from_the_runs_so_far(cap, monkeypatch):
     assert learned > 128  # the learned size moved off the start
 
 
+@pytest.mark.parametrize("eps", [1.0, 5.0])
+def test_privsprt_first_chunk_is_learned_up_to_one_piece(eps):
+    """A PrivSPRT kernel learns its first chunk by the same rule, but at
+    most 512 steps, one piece of its checks: at eps 5 (mean tau about 170)
+    it settles below that, at eps 1 it reaches it. Chunks double from there
+    up to the cap."""
+    kernel = PrivSprtKernel(_configs(eps)["privsprt"])
+    taus, firsts = [], []
+    for seed in range(8):
+        first = 128
+        if taus:
+            learned = -(-5 * sum(taus) // (4 * 128 * len(taus))) * 128
+            first = min(max(learned, 128), 512)
+        obs = _Recording(_obs(HYP.mu1 if seed % 2 else HYP.mu0, seed))
+        taus.append(run_privsprt(kernel.trial(seed), obs).tau)
+        assert obs.sizes == [first] + [min(first * 2**k, 4096) for k in range(1, len(obs.sizes))]
+        firsts.append(first)
+    assert (128 < firsts[-1] < 512) if eps == 5.0 else firsts[-1] == 512
+
+
+def test_classical_kernel_keys_no_noise_stream(monkeypatch):
+    """The classical test has no noise: its kernel derives, rekeys and
+    samples no noise stream, where a private kernel does all three."""
+    calls = []
+    for name in ("derive", "rekey", "sample_y", "sample_z"):
+        fn = getattr(dp_sprt, name)
+        monkeypatch.setattr(dp_sprt, name,
+                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    for name in ("classical", "laplace"):
+        calls.clear()
+        kernel = TestKernel(_configs(5.0)[name])
+        for seed in range(3):
+            assert not run_test(kernel.trial(seed), _obs(HYP.mu0, seed)).exhausted
+        assert set(calls) == (set() if name == "classical" else
+                              {"derive", "rekey", "sample_y", "sample_z"})
+
+
 @pytest.mark.parametrize("horizon", [129, 700, 1_000_000])
 @pytest.mark.parametrize("eps", [1.0, 5.0])
 @pytest.mark.parametrize("name", ["classical", "laplace", "gaussian", "laplace_sub"])

@@ -1,5 +1,7 @@
 """Stream derivation: determinism, independence, and uniformity."""
 
+import random
+
 import numpy as np
 
 import pytest
@@ -143,6 +145,46 @@ def test_uniform_open_equals_the_integer_formula(size, fresh):
             k = rngs[1].integers(0, 1 << 53, size=size, dtype=np.int64)
             assert np.array_equal(got, (k + 0.5) * 2.0**-53)
             assert _state(rngs[0]) == _state(rngs[1])
+
+
+class _Words:
+    """A key with fixed words, read as `derive` reads a StreamKey's."""
+
+    def __init__(self, words):
+        self._words = words
+
+    def words(self):
+        return self._words
+
+
+EDGE_WORDS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (1, 2**63)]
+
+
+@pytest.mark.parametrize("key", [_Words(w) for w in EDGE_WORDS]
+                         + [FROZEN_KEY, StreamKey(2**64 - 1, 2**64 - 1, 2**64 - 1)],
+                         ids=[f"{w0:x}-{w1:x}" for w0, w1 in EDGE_WORDS] + ["frozen", "edges"])
+def test_derive_equals_philox_keyed_by_the_words(key):
+    """`derive` gives the generator of ``Philox(key=words)``: the same state,
+    and the same 100 draws after it, also where a word is 0 or 2^64 - 1."""
+    got = derive(key)
+    want = np.random.Generator(np.random.Philox(key=np.array(key.words(), dtype=np.uint64)))
+    assert _state(got) == _state(want)
+    assert np.array_equal(got.bit_generator.random_raw(100), want.bit_generator.random_raw(100))
+    assert _state(got) == _state(want)
+
+
+def test_derive_gathers_no_os_entropy(monkeypatch):
+    """A key fixes its whole stream, so `derive` reads no OS entropy: it
+    works with the source numpy's SeedSequence draws entropy from made to
+    raise."""
+
+    def no_entropy(n):
+        raise AssertionError("OS entropy was read")
+
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.SeedSequence()  # the patch does reach numpy's entropy
+    assert list(map(int, _u64(derive(FROZEN_KEY), 4))) == FROZEN_OUT
 
 
 # edge values of each 64-bit field, and master seeds at and past 2**64
