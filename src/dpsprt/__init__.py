@@ -82,4 +82,4 @@ from .harness import (
 )
 from .rngcore import StreamKey, Substream, derive
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -6,11 +6,11 @@ streams, one per boundary, each with its own one-shot threshold noise. Its
 thresholds (a, b) carry no closed-form calibration; they are tuned by grid
 search against pilot Monte Carlo error estimates.
 
-Both the trials and the pilot paths draw every noise uniform, but apply the
-inverse normal CDF only where a check could fire: a bound on a block's
-margins, taken from its extreme uniforms, shows most blocks far from every
-threshold at small epsilon. Outcomes and streams are those of transforming
-every value (see `_extremes`).
+At small epsilon most blocks lie far from every threshold. Where no noise
+value a uniform can give carries a block's statistic to one, its noise words
+are skipped, never drawn; where its own extreme uniforms do not (see
+`_extremes`), they are drawn but not passed through the inverse normal CDF.
+Outcomes and streams are those of drawing and transforming every value.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from .dp_sprt import Kernel, TestOutcome, Trial, gaussian_scales
 from .exp_family import HypothesisPair
-from .rngcore import StreamKey, Substream, derive, uniform_open
+from .rngcore import StreamKey, Substream, derive, raw_below, skip, uniform_open
 
 __all__ = [
     "PrivSprtConfig",
@@ -49,6 +49,9 @@ _NEVER = np.iinfo(np.int64).max  # first-crossing step of a threshold never cros
 # falls by at most about 9e-16 (tests/test_baselines.py fails past 1e-14),
 # so a slack far above that keeps the bounds of `_extremes` conservative
 _SLACK = 1e-9
+# ndtri at the extremes of `uniform_open`, 2^-54 and 1 - 2^-53, widened by the slack
+_Y_TOP = float(ndtri(1.0 - 2.0**-53)) + _SLACK
+_Y_BOT = float(ndtri(2.0**-54)) - _SLACK
 
 
 @dataclass(frozen=True)
@@ -116,15 +119,15 @@ def _clamped_llr(cfg: PrivSprtConfig) -> np.ndarray:
     return np.clip(np.array([l0, l1]), -cfg.trunc_a, cfg.trunc_a)
 
 
-def _extremes(stat, u, sigma2: float):
-    """Bounds, over the last axis, on the noisy statistic of a block whose
-    noise uniforms are `u` (Y1 at even places, Y2 at odd ones): every
-    stat + sigma2*ndtri(u[0::2]) is at most `top`, and every
+def _extremes(smax, smin, u, sigma2: float):
+    """Bounds on the noisy statistic of blocks whose statistic spans [smin,
+    smax] and whose uniforms are the rows of `u` (Y1 at even places, Y2 at
+    odd ones): every stat + sigma2*ndtri(u[0::2]) is at most `top`, and every
     stat + sigma2*ndtri(u[1::2]) at least `bot`, as computed in floating
     point. Rounding of +, - and * by sigma2 > 0 is monotone, and ndtri is
     monotone up to _SLACK, so no value of a block lies past its bounds."""
-    top = stat.max(axis=-1) + sigma2 * (ndtri(u[..., 0::2].max(axis=-1)) + _SLACK)
-    bot = stat.min(axis=-1) + sigma2 * (ndtri(u[..., 1::2].min(axis=-1)) - _SLACK)
+    top = smax + sigma2 * (ndtri(u[..., 0::2].max(axis=-1)) + _SLACK)
+    bot = smin + sigma2 * (ndtri(u[..., 1::2].min(axis=-1)) - _SLACK)
     return top, bot
 
 
@@ -132,10 +135,11 @@ class PrivSprtKernel(Kernel):
     """A calibrated PrivSPRT configuration prepared once and run for many
     trials, with its clamped log-likelihood-ratio increments.
 
-    Each chunk draws all 2k of its noise uniforms and is then checked in
-    pieces of _CHUNK steps. A piece whose `_extremes` lie inside
-    (-a + Z2, b + Z1) cannot fire: it is left out, and its uniforms are
-    never transformed.
+    Each chunk is checked in pieces of _CHUNK steps, and a piece whose
+    `_extremes` lie inside (-a + Z2, b + Z1) cannot fire. The Y words of
+    the leading pieces that no noise value can make fire are skipped; the
+    rest are drawn, and only the pieces their own uniforms may make fire
+    are transformed and checked.
     """
 
     DECISIONS = (1, 0)  # the upper check comes first
@@ -160,15 +164,23 @@ class PrivSprtKernel(Kernel):
             if not cfg.sigma2:
                 yield n_done, stat >= hi, stat <= lo, None
                 continue
-            u = uniform_open(rng_y, 2 * bits.size)
             # pieces of _CHUNK steps; a chunk of another size, a short first
             # one or one cut at the horizon, is one piece
             size = _CHUNK if bits.size % _CHUNK == 0 else bits.size
-            top, bot = _extremes(stat.reshape(-1, size), u.reshape(-1, 2 * size), cfg.sigma2)
+            smax, smin = stat.reshape(-1, size).max(axis=1), stat.reshape(-1, size).min(axis=1)
+            far = 0  # the leading pieces no noise value can make fire
+            if smax.size > 1:
+                top, bot = smax + cfg.sigma2 * _Y_TOP, smin + cfg.sigma2 * _Y_BOT
+                far = int(np.argmax(np.append((top >= hi) | (bot <= lo), True)))
+                skip(rng_y, 2 * size * far, 2 * n_done)  # two Y words per step so far
+                if far == smax.size:
+                    continue
+            u = uniform_open(rng_y, 2 * (bits.size - far * size))
+            top, bot = _extremes(smax[far:], smin[far:], u.reshape(-1, 2 * size), cfg.sigma2)
             for i in np.flatnonzero((top >= hi) | (bot <= lo)):
-                s = stat[i * size : (i + 1) * size]
+                s = stat[(far + i) * size : (far + i + 1) * size]
                 y = cfg.sigma2 * ndtri(u[2 * i * size : 2 * (i + 1) * size])
-                yield n_done + i * size, s + y[0::2] >= hi, s + y[1::2] <= lo, None
+                yield n_done + (far + i) * size, s + y[0::2] >= hi, s + y[1::2] <= lo, None
 
 
 def run_privsprt(cfg: PrivSprtConfig | Trial, observations: Iterable[int]) -> TestOutcome:
@@ -203,13 +215,14 @@ class _Pilots:
     """Pilot paths extended in lockstep: per path the LLR carry, the step
     count, and the first step at which a margin crossed each grid value.
 
-    A block's uniforms are transformed, and its margins searched, only in
-    the rows whose `_extremes` reach the row's next uncrossed value on
-    either side; no other row can record a crossing in that block.
+    A block's uniforms are drawn only in the rows that some noise value can
+    carry to their next uncrossed value on either side (the others owe their
+    Y words, skipped before the path's next draw), and transformed only in
+    the rows whose `_extremes` reach it; no other row can record a crossing.
     """
 
     def __init__(self, cfg: PrivSprtConfig, grid, probs: list[float], tokens: list[int]):
-        self._cfg, self._probs = cfg, probs
+        self._cfg, self._below = cfg, [raw_below(p) for p in probs]
         self._obs, self._y, rngs_z = (
             [derive(StreamKey(t, substream=s)) for t in tokens]
             for s in (Substream.OBS, Substream.NOISE_Y, Substream.NOISE_Z))
@@ -217,6 +230,7 @@ class _Pilots:
         self._inc = _clamped_llr(cfg)
         self._carry = np.zeros(len(tokens))
         self._n = np.zeros(len(tokens), dtype=np.int64)
+        self._owed = np.zeros(len(tokens), dtype=np.int64)  # Y words skipped later
         # sorted distinct b and a values; the crossed ones form a prefix
         self._levels = (np.unique([b for _, b in grid]), np.unique([a for a, _ in grid]))
         self._first = tuple(np.full((len(tokens), v.size), _NEVER) for v in self._levels)
@@ -245,25 +259,36 @@ class _Pilots:
         the first step of each threshold the block crosses."""
         cfg = self._cfg
         got = np.minimum(_CHUNK, cfg.horizon - self._n[rows])
-        bits = np.zeros((rows.size, got.max()), dtype=np.intp)
-        y = np.zeros((rows.size, 2 * got.max()))
-        for i, (r, k) in enumerate(zip(rows, got)):
-            bits[i, :k] = self._obs[r].random(k) < self._probs[r]
-            if cfg.sigma2:
-                y[i, : 2 * k] = uniform_open(self._y[r], 2 * k)
-        stat = self._carry[rows, None] + np.cumsum(self._inc[bits], axis=1)
+        bits = np.zeros((rows.size, got.max()), dtype=bool)
+        for i, (r, k) in enumerate(zip(rows.tolist(), got.tolist())):
+            bits[i, :k] = self._obs[r].bit_generator.random_raw(k) < self._below[r]
+        inc = self._inc.take(bits.view(np.uint8))  # a bit, as a byte 0 or 1, picks its increment
+        stat = self._carry[rows, None] + np.cumsum(inc, axis=1)
         self._carry[rows] = stat[:, -1]  # a row cut at the horizon is never read again
         n = self._n[rows]  # steps before the block
         self._n[rows] += got
         z = self._z[rows]
         done = [np.count_nonzero(first[rows] != _NEVER, axis=1) for first in self._first]
+        y = np.zeros((rows.size, 2 * stat.shape[1]))
         if cfg.sigma2:
-            # keep the rows whose bounds reach the next uncrossed value on
-            # either side (+inf once all are crossed); a cut row's padding,
-            # uniforms of 0, only loosens its bounds
-            top, bot = _extremes(stat, y, cfg.sigma2)
+            # the next uncrossed value on either side, +inf once all are crossed
             nxt = [np.append(v, np.inf)[d] for v, d in zip(self._levels, done)]
-            live = (top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1])
+            smax, smin = stat.max(axis=1), stat.min(axis=1)
+            # draw in the rows that some noise value may carry there, or
+            # that reach the horizon; the others owe their words
+            top, bot = smax + cfg.sigma2 * _Y_TOP, smin + cfg.sigma2 * _Y_BOT
+            near = ((top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1])
+                    | (n + got >= cfg.horizon))
+            self._owed[rows[~near]] += 2 * got[~near]
+            for i in np.flatnonzero(near).tolist():
+                r, k, owed = int(rows[i]), int(got[i]), int(self._owed[rows[i]])
+                skip(self._y[r], owed, 2 * int(n[i]) - owed)
+                y[i, : 2 * k] = uniform_open(self._y[r], 2 * k)
+            self._owed[rows[near]] = 0
+            # keep the rows whose bounds reach the next value; a cut row's
+            # padding, uniforms of 0, only loosens its bounds
+            top, bot = _extremes(smax, smin, y, cfg.sigma2)
+            live = near & ((top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1]))
             rows, n, got, stat, y, z, *done = (v[live] for v in (rows, n, got, stat, y, z, *done))
             np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)  # in place, in one call
         # the upper margin stat + Y1 - Z1 reaches b; the lower one, negated, a

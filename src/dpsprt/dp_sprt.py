@@ -343,9 +343,9 @@ class Trial(NamedTuple):
 class Kernel:
     """A test prepared once and run for many trials: the first-exit loop.
 
-    It keys the first `roles` of `rngcore.NOISE_ROLES` for a block of seeds
-    (`trials`) or one (`trial`). A run resets the kernel's noise generators,
-    one per role it draws from (none if `draws` is false), to the start of
+    It keys the first `roles` of `rngcore.NOISE_ROLES`, or none if `draws`
+    is false, for a block of seeds (`trials`) or one (`trial`). A run resets
+    the kernel's noise generators, one per role it keys, to the start of
     the trial's streams, walks the observations in chunks that start at
     `_first_chunk()` steps and double up to _CHUNK_CAP, and halts at the
     first step where either of the test's two checks fires; the first check
@@ -360,15 +360,17 @@ class Kernel:
 
     def __init__(self, cfg, roles: int, draws: bool = True):
         self.cfg = cfg
-        self._roles = NOISE_ROLES[:roles]
+        self._roles = NOISE_ROLES[:roles] if draws else ()
         # placeholders keyed at seed 0: a run rekeys them to its trial's streams
-        self._rngs = [derive(StreamKey(0, substream=role)) for role in self._roles if draws]
+        self._rngs = [derive(StreamKey(0, substream=role)) for role in self._roles]
         self._runs = self._tau_sum = 0
 
     def trials(self, seeds) -> list[Trial]:
         """The trials of a block of seeds (a uint64 array, or a sequence of
         ints below 2^64), keyed in one vectorised pass."""
         seeds = np.asarray(seeds, dtype=np.uint64)
+        if not self._roles:
+            return [Trial(self, []) for _ in range(seeds.size)]
         words = stream_words(seeds[:, None], substream=self._roles).tolist()
         return [Trial(self, w) for w in words]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
 from .dp_sprt import Classical, LaplaceSub, TestConfig, TestKernel, resolved_gamma, run_test
-from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64, mix64_array
+from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64, mix64_array, raw_below
 
 __all__ = [
     "BitStream",
@@ -51,21 +51,22 @@ SUMMARY_COLUMNS = [
 class BitStream:
     """I.i.d. Bernoulli bit stream over a dedicated generator.
 
-    `take(k)` draws exactly k uniforms, one 64-bit Philox word each, so the
-    bit sequence is a pure function of the generator state, independent of
+    `take(k)` draws exactly k 64-bit Philox words, one per bit, so the bit
+    sequence is a pure function of the generator state, independent of
     whether the consumer pulls bit by bit or in chunks, and the stream draws
     no bit its consumer does not take. It returns a bool array, which
-    `dp_sprt.BitReader` takes without a value check.
+    `dp_sprt.BitReader` takes without a value check. A bit is ``random() < p``
+    on its word, compared as an integer (see `rngcore.raw_below`).
     """
 
     def __init__(self, p: float, rng: np.random.Generator):
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in the open interval (0,1)")
-        self._p = p
         self._rng = rng
+        self._below = raw_below(p)
 
     def take(self, k: int) -> np.ndarray:
-        return self._rng.random(k) < self._p
+        return self._rng.bit_generator.random_raw(k) < self._below
 
     def __iter__(self):
         return self

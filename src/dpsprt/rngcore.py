@@ -9,19 +9,22 @@ parallel consumers.
 :meth:`StreamKey.words` and :func:`mix64` are the scalar reference;
 :func:`stream_words` computes the same words for whole arrays of keys in one
 vectorised pass, so a block of trials keys all its streams at once.
+Philox is counter-based (Salmon et al., SC 2011), so :func:`skip` jumps
+a stream past unread words in O(1), to where drawing them would leave it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 __all__ = [
-    "Substream", "StreamKey", "NOISE_ROLES", "derive", "rekey", "fnv1a64", "mix64", "mix64_array",
-    "stream_words", "uniform_open",
+    "Substream", "StreamKey", "NOISE_ROLES", "derive", "rekey", "skip", "fnv1a64", "mix64",
+    "mix64_array", "stream_words", "raw_below", "uniform_open",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -150,6 +153,22 @@ def rekey(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
+def skip(rng: np.random.Generator, words: int, drawn: int) -> None:
+    """Advance `rng`, made by :func:`derive`, past `words` 64-bit words to
+    the state drawing them would leave. `drawn` counts the words drawn since
+    its key, so its buffer holds ``-drawn % 4`` more: those are read out,
+    whole 4-word blocks are jumped by the counter, and the rest are read."""
+    bitgen = rng.bit_generator
+    head = min(-drawn % 4, words)
+    blocks, tail = divmod(words - head, 4)
+    if head:
+        bitgen.random_raw(head)
+    if blocks:
+        bitgen.advance(blocks)
+    if tail:
+        bitgen.random_raw(tail)
+
+
 def fnv1a64(text: str) -> int:
     """FNV-1a 64-bit hash of a UTF-8 string; it turns a variant id into the
     integer that keys the variant's streams."""
@@ -157,6 +176,15 @@ def fnv1a64(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK64
     return h
+
+
+@functools.cache
+def raw_below(p: float) -> np.uint64:
+    """The words w below this uint64 give ``random() < p``, p in (0, 1):
+    random() is (w >> 11) * 2^-53, and an integer k has k * 2^-53 < p
+    exactly when k < ceil(p * 2^53). A Python int would compare slower:
+    numpy converts it at each call."""
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 _BELOW_ONE = 1.0 - 2.0**-53

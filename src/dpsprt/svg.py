@@ -27,10 +27,12 @@ def write_line_chart(
     ylabel: str,
 ) -> None:
     """Write one polyline per series with circles at the data points, on
-    log10 axes. A point that a log axis cannot place (a coordinate that is
-    not finite or not positive) is left out, and so is a series left with
-    no point; with no point left at all, the chart holds only its axes and
-    labels. Raises ValueError if `series` names no series."""
+    log10 axes. Colours go to families in order of first appearance, and a
+    series "<family> H1" is dashed in its family's colour. A point that a
+    log axis cannot place (a coordinate that is not finite or not positive)
+    is left out, and so is a series left with no point; with no point left
+    at all, the chart holds only its axes and labels. Raises ValueError if
+    `series` names no series."""
     if not series:
         raise ValueError("no series to plot")
     series = {name: [(x, y) for x, y in pts if 0.0 < x < math.inf and 0.0 < y < math.inf]
@@ -69,11 +71,13 @@ def write_line_chart(
         if _MT - 1 <= y <= _H - _MB + 1:
             parts.append(f'<line x1="{_ML-5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')
             parts.append(f'<text x="{_ML-8}" y="{y+4:.1f}" text-anchor="end">{t:g}</text>')
+    families: dict[str, str] = {}
     for i, (name, pts) in enumerate(series.items()):
-        color = _COLORS[i % len(_COLORS)]
+        color = families.setdefault(name.removesuffix(" H1"), _COLORS[len(families) % len(_COLORS)])
+        dash = ' stroke-dasharray="6,4"' if name.endswith(" H1") else ""
         pts = sorted(pts)
         coords = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
         for x, y in pts:
             parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" fill="{color}"/>')
         parts.append(

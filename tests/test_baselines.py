@@ -25,7 +25,7 @@ from dpsprt.baselines import (
 from dpsprt.dp_sprt import Classical, TestConfig, gaussian_scales, run_test
 from dpsprt.exp_family import HypothesisPair, log_partition
 from dpsprt.harness import BitStream
-from dpsprt.rngcore import StreamKey, Substream, derive, uniform_open
+from dpsprt.rngcore import StreamKey, Substream, derive, skip, uniform_open
 
 HYP = HypothesisPair.of(0.3, 0.7)
 LLR1 = math.log(7 / 3)
@@ -321,6 +321,12 @@ def _assert_first_steps_match(pilots, ref):
             assert row.tolist() == np.where(hit < run.size, hit + 1, _NEVER).tolist()
 
 
+def _position(rng):
+    """The counter and the buffer position: where the next word comes from."""
+    st = rng.bit_generator.state
+    return tuple(st["state"]["counter"]), st["buffer_pos"]
+
+
 class TestLockstepCalibration:
     @pytest.mark.parametrize("horizon", [1_000_000, 700])
     @pytest.mark.parametrize("eps", [0.5, 1.0, 5.0])
@@ -368,6 +374,33 @@ class TestLockstepCalibration:
                 path.ensure_decided(a, b)
             assert pilots.decisions(a, b).tolist() == [p.decision(a, b) for p in ref], (a, b)
             _assert_first_steps_match(pilots, ref)
+
+    @pytest.mark.parametrize("horizon", [1_000_000, 2048])
+    def test_skipped_blocks_match_reference_along_the_search(self, horizon, monkeypatch):
+        """At eps 0.5 on the default grid most blocks of a pilot path lie
+        beyond the reach of any noise value: they draw no Y uniforms, and
+        their words are skipped before the path's next draw, or the block
+        that reaches the horizon draws. Decisions and first steps match the
+        reference, which draws every word, at every point in search order,
+        and each path's Y generator ends where the reference's does, also
+        on paths that a horizon of four blocks leaves undecided."""
+        skipped = []
+        monkeypatch.setattr(baselines, "skip", lambda rng, words, drawn: skipped.append(words)
+                            or skip(rng, words, drawn))
+        cfg = replace(PrivSprtConfig.from_epsilon(HYP, 0.5), horizon=horizon)
+        grid = default_threshold_grid(cfg, 0.05)
+        probs = [HYP.mu0] * 10 + [HYP.mu1] * 10
+        tokens = [int(t) for t in derive(StreamKey(83)).integers(0, 1 << 63, 20)]
+        pilots = _Pilots(cfg, grid, probs, tokens)
+        ref = [_RefPilotPath(cfg, p, t) for p, t in zip(probs, tokens)]
+        for a, b in sorted(grid, key=lambda g: (g[0] + g[1], g[0])):
+            for path in ref:
+                path.ensure_decided(a, b)
+            assert pilots.decisions(a, b).tolist() == [p.decision(a, b) for p in ref], (a, b)
+            _assert_first_steps_match(pilots, ref)
+        assert sum(skipped) > 0
+        for rng, path in zip(pilots._y, ref):
+            assert _position(rng) == _position(path._rng_y)
 
     @pytest.mark.parametrize("cfg", [
         replace(PrivSprtConfig.from_epsilon(HYP, 1.0), horizon=1200),

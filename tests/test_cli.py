@@ -90,7 +90,7 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * 2  # two variants, both truths
         guarantees = manifest["privacy_guarantees"]
         assert guarantees["laplace@eps=1"]["kind"] == "pure_dp"
-        assert manifest["version"] == "0.5.0"
+        assert manifest["version"] == "0.6.0"
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -75,6 +75,18 @@ class TestBitStream:
         k = sum(sizes)
         assert rng.random() == derive(StreamKey(6)).random(k + 1)[k]
 
+    @pytest.mark.parametrize("p", [0.3, 0.7, 0.5, 0.25, 2.0**-53, 3 * 2.0**-53, 1 - 2.0**-53,
+                                   1e-300])
+    def test_bits_from_raw_words_equal_uniforms_below_p(self, p):
+        """`take` compares raw words as integers; the bits are those of
+        random(k) < p on the same generator, and so is the state after."""
+        for key in (StreamKey(8), StreamKey(8, 1, 2, Substream.OBS), StreamKey(2**64 - 1, 5)):
+            rng, ref = derive(key), derive(key)
+            stream = BitStream(p, rng)
+            for k in (1, 1000, 4096):
+                assert np.array_equal(stream.take(k), ref.random(k) < p)
+            assert rng.random() == ref.random()
+
     def test_distinct_trials_differ(self):
         a = BitStream(0.5, derive(StreamKey(4, 0, 0))).take(1000)
         b = BitStream(0.5, derive(StreamKey(4, 0, 1))).take(1000)

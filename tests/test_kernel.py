@@ -95,11 +95,12 @@ def test_block_keys_equal_single_seed_keys(name):
     assert kernel.trials(SEED_EDGES.tolist()) == block
 
 
-@pytest.mark.parametrize("name, pairs", [("classical", 2), ("laplace", 2), ("gaussian", 2),
+@pytest.mark.parametrize("name, pairs", [("classical", 0), ("laplace", 2), ("gaussian", 2),
                                          ("laplace_sub", 3), ("privsprt", 2)])
 def test_a_trial_keys_only_the_roles_its_kernel_reads(name, pairs):
-    """Y and Z for every kernel; the subsampling stream only for the
-    subsampled rule."""
+    """Y and Z for every noisy kernel, and no role for the classical one,
+    which draws no noise; the subsampling stream only for the subsampled
+    rule."""
     kernel = _prepared(_configs(1.0)[name])[0]
     for trial in [kernel.trial(7)] + kernel.trials(SEED_EDGES):
         assert len(trial.words) == pairs
@@ -337,12 +338,13 @@ def _noisy_privsprt(eps, horizon, trunc_a, thresh=1e9):
 def test_noisy_privsprt_kernel_matches_reference_loop(eps, horizon, trunc_a, monkeypatch):
     """With noise, the kernel stops where the per-step loop stops, on the
     same side, also after chunks it passes over without transforming their
-    noise; both horizons cut the second chunk, and the thresholds grow with
-    the seed, so trials decide early, late, or not at all. At A = 1/2 every
-    partial LLR sum is a multiple of 1/2, exact in any order of addition,
-    so the loop's running sum equals the kernel's carry + cumsum bit for
-    bit. At A = 1 the two may round apart; that this changes no outcome
-    here is checked, not guaranteed."""
+    noise; a fresh kernel chunks 128, 256, 512, 1024, ..., so the horizon
+    700 cuts the third chunk and 1500 the fourth, every chunk here is one
+    piece, and the thresholds grow with the seed, so trials decide early,
+    late, or not at all. At A = 1/2 every partial LLR sum is a multiple of
+    1/2, exact in any order of addition, so the loop's running sum equals
+    the kernel's carry + cumsum bit for bit. At A = 1 the two may round
+    apart; that this changes no outcome here is checked, not guaranteed."""
     drawn, transformed = [], []
     monkeypatch.setattr(baselines, "uniform_open",
                         lambda rng, size: drawn.append(size) or uniform_open(rng, size))
@@ -396,7 +398,9 @@ FLAT_PRIVSPRT = PrivSprtConfig(HYP, 1.0, 1.0, trunc_a=1e-300, thresh_a=1e9, thre
 @pytest.mark.parametrize("span", [(0, 512), (512, 1536)], ids=["chunk1", "chunk2"])
 @pytest.mark.parametrize("side", ["upper", "lower"])
 def test_privsprt_threshold_on_a_reached_value_matches_reference(side, span, flat):
-    """A threshold on a value the trial reaches, the extreme of a chunk:
+    """A threshold on a value the trial reaches, its extreme over steps 1
+    to 512 or 513 to 1536 (the ids name the 512-step chunks of an earlier
+    schedule; a fresh kernel now ends chunks at 128, 384, 896 and 1920):
     the bound of the piece holding that step then meets the threshold with
     little to spare (with the slack alone when the statistic is flat), and
     the check must fire at that very step."""
@@ -405,6 +409,79 @@ def test_privsprt_threshold_on_a_reached_value_matches_reference(side, span, fla
     assert _privsprt_reference(cfg, seed, _obs(p, seed)) == want
     out = run_privsprt(PrivSprtKernel(cfg).trial(seed), _obs(p, seed))
     assert (out.tau, out.decision, out.exhausted) == want
+
+
+def _counted_skips(monkeypatch, swap=None):
+    """The words each `baselines.skip` call skipped; `swap` replaces it."""
+    skipped = []
+    fn = swap or baselines.skip
+    monkeypatch.setattr(baselines, "skip", lambda rng, words, drawn:
+                        skipped.append(words) or fn(rng, words, drawn))
+    return skipped
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_multi_piece_privsprt_chunks_match_reference_loop(eps, monkeypatch):
+    """At a horizon of 9000 a fresh kernel runs chunks of 1024, 2048 and
+    4096 steps, of two, four and eight pieces, before a cut one. With
+    thresholds of 10 to 65 noise sigmas, the leading pieces of those chunks
+    lie beyond the reach of any noise value, and their Y words are skipped;
+    the kernel still stops where the per-step loop stops, in a piece after
+    skipped ones, or not at all."""
+    skipped = _counted_skips(monkeypatch)
+    seen = set()
+    sigma2 = _noisy_privsprt(eps, 9000, 1.0).sigma2
+    for seed in range(12):
+        cfg = _noisy_privsprt(eps, 9000, 1.0, thresh=(10 + 5 * seed) * sigma2)
+        p = HYP.mu1 if seed % 2 else HYP.mu0
+        skipped.clear()
+        out = run_privsprt(PrivSprtKernel(cfg).trial(seed), _obs(p, seed))
+        want = _privsprt_reference(cfg, seed, _obs(p, seed))
+        assert (out.tau, out.decision, out.exhausted) == want, seed
+        if want[2]:
+            seen.add("exhausted")
+        elif sum(skipped) and 896 < want[0] <= 8064:
+            seen.add("after a skip, in a multi-piece chunk")
+    assert seen == {"exhausted", "after a skip, in a multi-piece chunk"}
+
+
+SPAN_2048 = (1920, 3968)  # the fifth chunk of a fresh kernel, four pieces
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["noisy", "flat"])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_privsprt_tie_at_extreme_inside_a_multi_piece_chunk(side, flat):
+    """A threshold on the trial's extreme over the 2048-step chunk: the
+    noisy statistic meets it at one step of one piece, after pieces the
+    kernel skips (noisy) or passes over without transforming (flat), and
+    the check must fire at that very step."""
+    base = replace(FLAT_PRIVSPRT, horizon=4000) if flat else _noisy_privsprt(1.0, 4000, 0.5)
+    cfg, seed, p, want = _tie_at_extreme(base, side, *SPAN_2048)
+    assert _privsprt_reference(cfg, seed, _obs(p, seed)) == want
+    out = run_privsprt(PrivSprtKernel(cfg).trial(seed), _obs(p, seed))
+    assert (out.tau, out.decision, out.exhausted) == want
+
+
+def _discard(rng, words, drawn):
+    rng.bit_generator.random_raw(words)
+
+
+def test_privsprt_skip_equals_drawing_the_words(monkeypatch):
+    """The kernel with `skip` swapped for drawing and discarding the words
+    gives the same outcomes, and leaves its Y generator in the same state,
+    after every trial of one reused kernel at eps 0.5."""
+    cfg = _noisy_privsprt(0.5, 1_000_000, 1.0, thresh=1872.3326709712444)
+    runs = {}
+    for name, swap in (("skip", None), ("draw", _discard)):
+        skipped = _counted_skips(monkeypatch, swap)
+        kernel, runs[name] = PrivSprtKernel(cfg), []
+        for seed in range(10):
+            out = run_privsprt(kernel.trial(seed), _obs(HYP.mu1 if seed % 2 else HYP.mu0, seed))
+            st = kernel._rngs[0].bit_generator.state
+            runs[name].append((out, tuple(st["state"]["counter"]), st["buffer_pos"],
+                               kernel._rngs[0].bit_generator.random_raw(4).tolist()))
+        assert sum(skipped) > 0
+    assert runs["skip"] == runs["draw"]
 
 
 @pytest.mark.parametrize("name", ["classical", "laplace", "gaussian", "laplace_sub"])

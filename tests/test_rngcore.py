@@ -14,7 +14,9 @@ from dpsprt.rngcore import (
     fnv1a64,
     mix64,
     mix64_array,
+    raw_below,
     rekey,
+    skip,
     stream_words,
     uniform_open,
 )
@@ -145,6 +147,43 @@ def test_uniform_open_equals_the_integer_formula(size, fresh):
             k = rngs[1].integers(0, 1 << 53, size=size, dtype=np.int64)
             assert np.array_equal(got, (k + 0.5) * 2.0**-53)
             assert _state(rngs[0]) == _state(rngs[1])
+
+
+def _position(rng):
+    """The counter and the buffer position: where the next word comes from."""
+    st = rng.bit_generator.state
+    return tuple(st["state"]["counter"]), st["buffer_pos"]
+
+
+@pytest.mark.parametrize("words", list(range(21)) + [10**6 + 3])
+def test_skip_equals_drawing_the_words(words):
+    """After `drawn` words, at every position in a 4-word Philox block,
+    skipping `words` more leaves the generator where drawing them does: the
+    same counter, buffer position and next draws."""
+    for drawn in range(9):
+        skipped, drawing = derive(StreamKey(drawn, 3)), derive(StreamKey(drawn, 3))
+        for rng in (skipped, drawing):
+            rng.bit_generator.random_raw(drawn)
+        skip(skipped, words, drawn)
+        drawing.bit_generator.random_raw(words)
+        assert _position(skipped) == _position(drawing)
+        assert np.array_equal(skipped.bit_generator.random_raw(9),
+                              drawing.bit_generator.random_raw(9))
+        assert skipped.random() == drawing.random()
+
+
+RAW_PS = [0.3, 0.7, 0.5, 0.25, 2.0**-53, 3 * 2.0**-53, 1 - 2.0**-53, 1e-300]
+
+
+@pytest.mark.parametrize("p", RAW_PS)
+def test_raw_below_splits_words_as_random_does(p):
+    """A 64-bit word w gives random() = (w >> 11) * 2^-53 below p exactly
+    when w < raw_below(p): at the words next to the bound and at the ends."""
+    below = int(raw_below(p))
+    for w in (0, 1, 2047, 2048, below - 2049, below - 1, below, below + 2047, below + 2048,
+              2**64 - 1):
+        if 0 <= w < 2**64:
+            assert ((w >> 11) * 2.0**-53 < p) == (w < below), w
 
 
 class _Words:

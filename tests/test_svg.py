@@ -1,6 +1,7 @@
 """Dependency-free SVG chart writer."""
 
 import math
+import re
 
 import pytest
 
@@ -50,3 +51,19 @@ def test_no_plottable_point_leaves_axes_and_labels(tmp_path):
     assert text.count("<line") == 2 and "epsilon" in text and "tau" in text
     assert "<polyline" not in text and "<circle" not in text
     assert text.endswith("</svg>\n")
+
+
+def test_a_family_keeps_its_colour_at_h1_and_dashes_it(tmp_path):
+    """Ten series of five families at H0 and H1 (`simulate --truth both
+    --svg`): five colours, each drawn once solid and once dashed, and each
+    H1 line in its family's colour."""
+    families = ["classical", "laplace", "gaussian", "laplace_sub", "privsprt"]
+    names = families + [f"{f} H1" for f in families]
+    path = tmp_path / "both.svg"
+    write_line_chart(path, {name: [(1.0, 10.0 + i), (5.0, 2.0 + i)]
+                            for i, name in enumerate(names)}, "epsilon", "tau")
+    lines = [line for line in path.read_text().splitlines() if line.startswith("<polyline")]
+    strokes = [re.search(r'stroke="(#[0-9a-f]{6})"', line).group(1) for line in lines]
+    dashed = ["stroke-dasharray" in line for line in lines]
+    assert dashed == [False] * 5 + [True] * 5
+    assert len(set(strokes)) == 5 and strokes[5:] == strokes[:5]
