@@ -24,7 +24,8 @@ from scipy.special import ndtri
 
 from .dp_sprt import Kernel, TestOutcome, Trial, gaussian_scales
 from .exp_family import HypothesisPair
-from .rngcore import StreamKey, Substream, derive, raw_below, skip, uniform_open
+from .rngcore import (StreamKey, Substream, derive, raw_below, skip, stream_words,
+                      uniform_open)
 
 __all__ = [
     "PrivSprtConfig",
@@ -155,11 +156,11 @@ class PrivSprtKernel(Kernel):
 
     def _checks(self, chunks, rng_y, rng_z):
         cfg = self.cfg
-        z1, z2 = cfg.sigma1 * ndtri(uniform_open(rng_z, 2))
+        z1, z2 = (cfg.sigma1 * ndtri(uniform_open(rng_z, 2))).tolist()
         hi, lo = cfg.thresh_b + z1, -cfg.thresh_a + z2
         carry = 0.0
         for n_done, bits in chunks:
-            stat = carry + np.cumsum(self._inc[bits])
+            stat = carry + self._inc[bits].cumsum()
             carry = float(stat[-1])
             if not cfg.sigma2:
                 yield n_done, stat >= hi, stat <= lo, None
@@ -171,13 +172,16 @@ class PrivSprtKernel(Kernel):
             far = 0  # the leading pieces no noise value can make fire
             if smax.size > 1:
                 top, bot = smax + cfg.sigma2 * _Y_TOP, smin + cfg.sigma2 * _Y_BOT
-                far = int(np.argmax(np.append((top >= hi) | (bot <= lo), True)))
+                near = (top >= hi) | (bot <= lo)
+                far = int(near.argmax())
+                if not near[far]:
+                    far = near.size
                 skip(rng_y, 2 * size * far, 2 * n_done)  # two Y words per step so far
                 if far == smax.size:
                     continue
             u = uniform_open(rng_y, 2 * (bits.size - far * size))
             top, bot = _extremes(smax[far:], smin[far:], u.reshape(-1, 2 * size), cfg.sigma2)
-            for i in np.flatnonzero((top >= hi) | (bot <= lo)):
+            for i in ((top >= hi) | (bot <= lo)).nonzero()[0].tolist():
                 s = stat[(far + i) * size : (far + i + 1) * size]
                 y = cfg.sigma2 * ndtri(u[2 * i * size : 2 * (i + 1) * size])
                 yield n_done + (far + i) * size, s + y[0::2] >= hi, s + y[1::2] <= lo, None
@@ -211,6 +215,18 @@ def default_threshold_grid(cfg: PrivSprtConfig, target_alpha: float) -> list[tup
     return [(a, b) for a in vals for b in vals]
 
 
+class _Drawn:
+    """A block `Generator.random` has already filled, row by row with
+    ``random(out=row)``, in place of a generator: ``uniform_open(_Drawn(u),
+    u.shape)`` turns it in place, in one pass, into the rows' uniforms."""
+
+    def __init__(self, u: np.ndarray):
+        self._u = u
+
+    def random(self, size) -> np.ndarray:
+        return self._u.reshape(size)
+
+
 class _Pilots:
     """Pilot paths extended in lockstep: per path the LLR carry, the step
     count, and the first step at which a margin crossed each grid value.
@@ -223,9 +239,11 @@ class _Pilots:
 
     def __init__(self, cfg: PrivSprtConfig, grid, probs: list[float], tokens: list[int]):
         self._cfg, self._below = cfg, [raw_below(p) for p in probs]
+        roles = (Substream.OBS, Substream.NOISE_Y, Substream.NOISE_Z)
+        words = stream_words(np.array(tokens, dtype=np.uint64)[:, None], substream=roles)
         self._obs, self._y, rngs_z = (
-            [derive(StreamKey(t, substream=s)) for t in tokens]
-            for s in (Substream.OBS, Substream.NOISE_Y, Substream.NOISE_Z))
+            [derive(StreamKey(t, substream=s, known_words=w)) for t, w in zip(tokens, words[:, j])]
+            for j, s in enumerate(roles))
         self._z = np.array([cfg.sigma1 * ndtri(uniform_open(rng, 2)) for rng in rngs_z])
         self._inc = _clamped_llr(cfg)
         self._carry = np.zeros(len(tokens))
@@ -263,14 +281,15 @@ class _Pilots:
         for i, (r, k) in enumerate(zip(rows.tolist(), got.tolist())):
             bits[i, :k] = self._obs[r].bit_generator.random_raw(k) < self._below[r]
         inc = self._inc.take(bits.view(np.uint8))  # a bit, as a byte 0 or 1, picks its increment
-        stat = self._carry[rows, None] + np.cumsum(inc, axis=1)
+        stat = self._carry[rows, None] + inc.cumsum(axis=1)
         self._carry[rows] = stat[:, -1]  # a row cut at the horizon is never read again
         n = self._n[rows]  # steps before the block
         self._n[rows] += got
         z = self._z[rows]
         done = [np.count_nonzero(first[rows] != _NEVER, axis=1) for first in self._first]
-        y = np.zeros((rows.size, 2 * stat.shape[1]))
-        if cfg.sigma2:
+        if not cfg.sigma2:
+            y = np.zeros((rows.size, 2 * stat.shape[1]))
+        else:
             # the next uncrossed value on either side, +inf once all are crossed
             nxt = [np.append(v, np.inf)[d] for v, d in zip(self._levels, done)]
             smax, smin = stat.max(axis=1), stat.min(axis=1)
@@ -280,16 +299,22 @@ class _Pilots:
             near = ((top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1])
                     | (n + got >= cfg.horizon))
             self._owed[rows[~near]] += 2 * got[~near]
-            for i in np.flatnonzero(near).tolist():
-                r, k, owed = int(rows[i]), int(got[i]), int(self._owed[rows[i]])
-                skip(self._y[r], owed, 2 * int(n[i]) - owed)
-                y[i, : 2 * k] = uniform_open(self._y[r], 2 * k)
-            self._owed[rows[near]] = 0
+            keep = near.nonzero()[0]
+            y = np.zeros((keep.size, 2 * stat.shape[1]))
+            for j, (r, k, owed, before) in enumerate(zip(
+                    rows[keep].tolist(), got[keep].tolist(), self._owed[rows[keep]].tolist(),
+                    n[keep].tolist())):
+                skip(self._y[r], owed, 2 * before - owed)
+                self._y[r].random(out=y[j, : 2 * k])
+            self._owed[rows[keep]] = 0
+            uniform_open(_Drawn(y), y.shape)  # the rows' uniforms, in place
             # keep the rows whose bounds reach the next value; a cut row's
-            # padding, uniforms of 0, only loosens its bounds
-            top, bot = _extremes(smax, smin, y, cfg.sigma2)
-            live = near & ((top - z[:, 0] >= nxt[0]) | (-(bot - z[:, 1]) >= nxt[1]))
-            rows, n, got, stat, y, z, *done = (v[live] for v in (rows, n, got, stat, y, z, *done))
+            # padding, draws of 0 and so the lowest uniform, only loosens them
+            top, bot = _extremes(smax[keep], smin[keep], y, cfg.sigma2)
+            live = ((top - z[keep, 0] >= nxt[0][keep])
+                    | (-(bot - z[keep, 1]) >= nxt[1][keep]))
+            keep, y = keep[live], y[live]
+            rows, n, got, stat, z, *done = (v[keep] for v in (rows, n, got, stat, z, *done))
             np.multiply(cfg.sigma2, ndtri(y, out=y), out=y)  # in place, in one call
         # the upper margin stat + Y1 - Z1 reaches b; the lower one, negated, a
         margins = (stat + y[:, 0::2] - z[:, :1], -(stat + y[:, 1::2] - z[:, 1:]))

@@ -295,19 +295,22 @@ def _corrections(res: _Resolved, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def _thresholds_vec(hyp: HypothesisPair, res: _Resolved, m, c_lo, c_hi):
-    """Lower/upper thresholds given the corrections over the same steps.
-
-    `m` is the divisor of the budget terms: the step count, or the
-    included count for the subsampled rule. Entries with m = 0 yield
-    -inf/+inf so that no comparison can fire there.
-    """
+def _budget_terms(hyp: HypothesisPair, res: _Resolved, m) -> tuple[np.ndarray, np.ndarray]:
+    """The thresholds before their corrections, by the divisor `m` of their
+    budget terms: the step count, or the included count for the subsampled
+    rule. Entries with m = 0 yield -inf/+inf, where no comparison can fire."""
     m = np.asarray(m, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        inv_m = np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), np.inf)
-    lower = hyp.mu0 + (hyp.kl01 - res.log_b * inv_m) / hyp.dtheta - c_lo
-    upper = hyp.mu1 - (hyp.kl10 - res.log_a * inv_m) / hyp.dtheta + c_hi
-    return lower, upper
+    pos = m > 0
+    inv_m = np.where(pos, 1.0 / np.where(pos, m, 1.0), np.inf)
+    return (hyp.mu0 + (hyp.kl01 - res.log_b * inv_m) / hyp.dtheta,
+            hyp.mu1 - (hyp.kl10 - res.log_a * inv_m) / hyp.dtheta)
+
+
+def _thresholds_vec(hyp: HypothesisPair, res: _Resolved, m, c_lo, c_hi):
+    """Lower/upper thresholds given the corrections over the same steps,
+    with the budget terms of :func:`_budget_terms`."""
+    lower, upper = _budget_terms(hyp, res, m)
+    return lower - c_lo, upper + c_hi
 
 
 def _thresholds_at(cfg: TestConfig, n: int, included: int | None):
@@ -399,8 +402,8 @@ class Kernel:
         m = None
         for n_done, first, second, m in self._checks(chunks, *self._rngs):
             fired = first | second
-            if fired.any():
-                i = int(np.argmax(fired))
+            i = int(fired.argmax())
+            if fired[i]:
                 decision = self.DECISIONS[0 if first[i] else 1]
                 out = TestOutcome(n_done + i + 1, decision, False, None if m is None else int(m[i]))
                 break
@@ -417,8 +420,8 @@ class TestKernel(Kernel):
     It resolves the configuration's constants and keeps threshold tables
     over the step counts seen so far. The tables hold the same values
     `threshold_lower` and `threshold_upper` give; for the subsampled rule
-    they hold only the n-only correction terms, and the budget term, which
-    divides by the included count, is added per chunk.
+    they hold only the n-only correction terms, and two more tables hold
+    the budget terms by included count, which each chunk looks up.
 
     Any chunking gives the same outcome: S_n is an integer cumsum, every
     threshold is a function of n alone, and each noise stream draws one
@@ -431,6 +434,9 @@ class TestKernel(Kernel):
         self._sub = isinstance(cfg.variant, LaplaceSub)
         super().__init__(cfg, 3 if self._sub else 2, not isinstance(cfg.variant, Classical))
         self._res = _resolve(cfg)
+        # a subsampling word w keeps its step when w <= this bound, exactly when
+        # random() < rate (see `rngcore.raw_below`); at rate 1.0 it is 2^64 - 1
+        self._keep = np.uint64((math.ceil(self._res.rate * 2.0**53) << 11) - 1)
         self._n = self._lo = self._hi = np.empty(0)
 
     def _thresholds(self, start: int, stop: int, m) -> tuple[np.ndarray, np.ndarray]:
@@ -441,7 +447,10 @@ class TestKernel(Kernel):
             size = min(max(stop, 2 * self._n.size), self.cfg.horizon)
             self._n = np.arange(1, size + 1, dtype=np.float64)
             self._lo, self._hi = _corrections(self._res, self._n)
-            if not self._sub:
+            if self._sub:  # the budget terms by included count, 0 to size
+                self._blo, self._bhi = _budget_terms(self.cfg.hypotheses, self._res,
+                                                     np.arange(size + 1))
+            else:
                 self._lo, self._hi = _thresholds_vec(
                     self.cfg.hypotheses, self._res, self._n, self._lo, self._hi
                 )
@@ -450,7 +459,7 @@ class TestKernel(Kernel):
             return lo, hi
         # where M_n = 0 (so S_n = 0) they are -inf and +inf, and neither
         # check can fire
-        return _thresholds_vec(self.cfg.hypotheses, self._res, m, lo, hi)
+        return self._blo[m] - lo, self._bhi[m] + hi
 
     def _checks(self, chunks, rng_y=None, rng_z=None, rng_b=None):
         # the plain rule is the subsampled one at rate 1.0 with M_n = n, and
@@ -462,13 +471,13 @@ class TestKernel(Kernel):
         for n_done, bits in chunks:
             stop = n_done + bits.size
             if rng_b is not None:
-                include = rng_b.random(bits.size) < res.rate
+                include = rng_b.bit_generator.random_raw(bits.size) <= self._keep
                 bits = bits * include
-                counts = m_carry + np.cumsum(include)
+                counts = m_carry + include.cumsum()
                 m_carry = int(counts[-1])
             lower, upper = self._thresholds(n_done, stop, counts)
             n = self._n[n_done:stop]
-            s = s_carry + np.cumsum(bits)
+            s = s_carry + bits.cumsum()
             s_carry = int(s[-1])
             stat = s / (n if counts is None else np.maximum(counts, 1))
             if rng_y is not None:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .baselines import PrivSprtConfig, PrivSprtKernel, run_privsprt
 from .dp_sprt import Classical, LaplaceSub, TestConfig, TestKernel, resolved_gamma, run_test
-from .rngcore import StreamKey, Substream, derive, fnv1a64, mix64, mix64_array, raw_below
+from .rngcore import (StreamKey, Substream, derive, fnv1a64, mix64, mix64_array, raw_below,
+                      stream_words)
 
 __all__ = [
     "BitStream",
@@ -134,9 +135,10 @@ def _trial_seeds(master_seed: int, vid: int, trials: np.ndarray) -> np.ndarray:
 
 def _run_block(args) -> list[TrialRecord]:
     """Trials start..stop-1 of one cell, on one kernel prepared for the cell,
-    which keys the whole block's noise streams at once. Each trial derives
-    its own observation stream, of the truth's p in the cell's instance,
-    first, then runs."""
+    which keys the whole block's noise streams at once. The block's
+    observation keys are hashed in one vectorised pass too, and each trial's
+    key carries its words. Each trial derives its own observation stream, of
+    the truth's p in the cell's instance, first, then runs."""
     truth, variant, master_seed, start, stop = args
     p_truth = (variant.config.hypotheses.mu0, variant.config.hypotheses.mu1)[truth]
     vid = fnv1a64(variant.variant_id)
@@ -144,10 +146,13 @@ def _run_block(args) -> list[TrialRecord]:
         kernel, run = PrivSprtKernel(variant.config), run_privsprt
     else:
         kernel, run = TestKernel(variant.config), run_test
-    seeds = _trial_seeds(master_seed, vid, np.arange(start, stop, dtype=np.uint64))
+    trials = np.arange(start, stop, dtype=np.uint64)
+    seeds = _trial_seeds(master_seed, vid, trials)
+    obs_words = stream_words(master_seed, vid, trials, Substream.OBS)
     records = []
-    for trial, token, prepared in zip(range(start, stop), seeds.tolist(), kernel.trials(seeds)):
-        obs = BitStream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS)))
+    for trial, token, words, prepared in zip(range(start, stop), seeds.tolist(), obs_words,
+                                             kernel.trials(seeds)):
+        obs = BitStream(p_truth, derive(StreamKey(master_seed, vid, trial, Substream.OBS, words)))
         out = run(prepared, obs)
         records.append(TrialRecord(trial, out.tau, out.decision, out.exhausted, token))
     return records

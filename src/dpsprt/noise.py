@@ -113,20 +113,40 @@ class CorrectionParams:
         object.__setattr__(self, "zeta_s", riemann_zeta(self.s))
 
 
-def _laplace_from_uniform(u, scale):
-    centered = u - 0.5
-    # the inverse CDF -scale * sign(c) * log1p(-2|c|), its sign set exactly by copysign
-    return -scale * np.copysign(np.log1p(-2.0 * np.abs(centered)), -centered)
+def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """The inverse CDF -scale * sign(c) * log1p(-2|c|), c = u - 1/2, written
+    over the array `u`: bit for bit -scale * copysign(log1p(-2|c|), -c), as
+    a product's magnitude rounds the same whatever the signs."""
+    u -= 0.5
+    t = np.abs(u)
+    t *= -2.0
+    np.log1p(t, out=t)
+    np.copysign(t, u, out=u)
+    u *= scale
+    return u
 
 
-def _gaussian_from_uniform(u, scale):
-    return scale * ndtri(u)
+def _laplace_scalar(u: float, scale: float) -> np.float64:
+    # the same inverse CDF on a float: abs and copysign are exact, so only
+    # log1p needs numpy's, the one its arrays use
+    c = u - 0.5
+    return np.float64(scale * math.copysign(float(np.log1p(-2.0 * abs(c))), c))
+
+
+def _gaussian_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """scale * ndtri(u), written over the float64 array `u`."""
+    ndtri(u, out=u)
+    u *= scale
+    return u
 
 
 def _draw(family: NoiseFamily, scale: float, rng, size=None):
     if family is NoiseFamily.ZERO:
         return 0.0 if size is None else np.zeros(size)
     u = uniform_open(rng, size)
+    if size is None:
+        return (_laplace_scalar(u, scale) if family is NoiseFamily.LAPLACE
+                else scale * ndtri(u))
     if family is NoiseFamily.LAPLACE:
         return _laplace_from_uniform(u, scale)
     return _gaussian_from_uniform(u, scale)

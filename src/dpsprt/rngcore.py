@@ -8,7 +8,8 @@ parallel consumers.
 
 :meth:`StreamKey.words` and :func:`mix64` are the scalar reference;
 :func:`stream_words` computes the same words for whole arrays of keys in one
-vectorised pass, so a block of trials keys all its streams at once.
+vectorised pass, so a block of trials keys all its streams at once; a
+key may carry its words from that pass, and is then not hashed again.
 Philox is counter-based (Salmon et al., SC 2011), so :func:`skip` jumps
 a stream past unread words in O(1), to where drawing them would leave it.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -81,25 +82,26 @@ def stream_words(master_seed, variant_id=0, trial=0, substream=Substream.OBS) ->
 
 @dataclass(frozen=True)
 class StreamKey:
-    """Address of one random stream."""
+    """Address of one random stream. A key may carry its words, as
+    :func:`stream_words` computed them (`known_words`), for :meth:`words`
+    to return; it compares, hashes and prints as the key without them."""
 
     master_seed: int
     variant_id: int = 0
     trial: int = 0
     substream: Substream = Substream.OBS
+    known_words: np.ndarray | tuple[int, int] | None = field(
+        default=None, compare=False, repr=False)
 
-    def words(self) -> tuple[int, int]:
-        """Collision-resistant 128-bit key derived from the fields."""
-        # the (master seed, variant) half is shared by a cell's trials, and cached
-        h = _cell_hash(self.master_seed & _MASK64, self.variant_id & _MASK64)
-        h = mix64(h ^ mix64(self.trial & _MASK64))
-        h = mix64(h ^ mix64(int(self.substream)))
+    def words(self) -> tuple[int, int] | np.ndarray:
+        """Collision-resistant 128-bit key derived from the fields, or the
+        `known_words` the key carries."""
+        if self.known_words is not None:
+            return self.known_words
+        h = mix64(self.master_seed & _MASK64)
+        for part in (self.variant_id & _MASK64, self.trial & _MASK64, int(self.substream)):
+            h = mix64(h ^ mix64(part))
         return h, mix64(h ^ _WORD1_TAG)
-
-
-@functools.lru_cache(maxsize=256)
-def _cell_hash(master_seed: int, variant_id: int) -> int:
-    return mix64(mix64(master_seed) ^ mix64(variant_id))
 
 
 # the roles of a trial's noise streams, in the order its keys list them
@@ -115,7 +117,7 @@ class _KeySeed(np.random.bit_generator.ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.array(self._words, dtype=np.uint64)  # Philox asks for (2, np.uint64)
+        return np.asarray(self._words, dtype=np.uint64)  # Philox asks for (2, np.uint64)
 
 
 def derive(key: StreamKey) -> np.random.Generator:

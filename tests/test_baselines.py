@@ -13,6 +13,7 @@ from dpsprt import baselines
 from dpsprt.baselines import (
     _NEVER,
     _SLACK,
+    _Drawn,
     _Pilots,
     CalibrationError,
     CalibrationResult,
@@ -518,3 +519,20 @@ class TestTransformSkip:
             worst = max(worst, float(np.max(np.maximum.accumulate(v) - v)))
         assert worst <= 1e-14
         assert 1e-14 * 1e5 <= _SLACK
+
+
+def test_drawn_block_gives_uniform_open_values():
+    """Rows drawn with `random(out=...)`, then made uniforms in one pass,
+    equal each row's `uniform_open` draw; the top draw is clamped too."""
+    keys = [StreamKey(31, substream=Substream.NOISE_Y, trial=t) for t in range(4)]
+    block = np.zeros((len(keys), 300))
+    for row, key in zip(block, keys):
+        derive(key).random(out=row)
+    block[0, 0] = 1 - 2.0**-53  # the largest draw `random` makes
+    got = uniform_open(_Drawn(block), block.shape)
+    assert np.shares_memory(got, block)
+    for i, key in enumerate(keys):
+        want = uniform_open(derive(key), 300)
+        if i == 0:
+            want[0] = 1 - 2.0**-53
+        assert np.array_equal(block[i], want)

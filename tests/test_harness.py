@@ -238,6 +238,30 @@ class TestRunExperiment:
         generators = [rng for name, _, rng in calls if name == "derive"]
         assert len({id(rng.bit_generator) for rng in generators}) == len(generators)
 
+    @pytest.mark.parametrize("master", [2024, 2**63 + 5, 2**64 + 2**63])
+    def test_a_block_keys_its_observation_streams_in_one_pass(self, master, monkeypatch):
+        """`_run_block` hashes its block's observation keys at once: each
+        trial's key, here of blocks that start past trial 0, carries the
+        words its fields give, and the block's records equal those of the
+        bare keys."""
+        import dpsprt.harness as harness
+
+        def strip(key):
+            return StreamKey(key.master_seed, key.variant_id, key.trial, key.substream)
+
+        keys = []
+        variant = PlannedVariant("laplace@eps=5", TestConfig(HYP, 0.05, 0.05, Laplace(5.0)), 5.0)
+        for start, stop in ((0, 3), (17, 29), (2**40, 2**40 + 4)):
+            job = (1, variant, master, start, stop)
+            keys.clear()
+            monkeypatch.setattr(harness, "derive", lambda key: keys.append(key) or derive(key))
+            records = harness._run_block(job)
+            assert [k.trial for k in keys] == list(range(start, stop))
+            for key in keys:
+                assert tuple(key.known_words.tolist()) == strip(key).words()
+            monkeypatch.setattr(harness, "derive", lambda key: derive(strip(key)))
+            assert harness._run_block(job) == records
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):

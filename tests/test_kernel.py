@@ -506,6 +506,40 @@ def test_tables_match_thresholds_bit_for_bit(name):
     assert sizes == [128, 384, 896, 1920, 3968, 8064, horizon]
 
 
+class _FloatWords:
+    """A subsampling generator whose raw words stand for ``random() < rate``:
+    0 for a kept step and 2^64 - 1 for a dropped one, one word per step."""
+
+    def __init__(self, rng, rate):
+        self.bit_generator, self._rng, self._rate = self, rng, rate
+
+    def random_raw(self, k):
+        return np.where(self._rng.random(k) < self._rate, np.uint64(0), np.uint64(2**64 - 1))
+
+
+class _FloatSubKernel(TestKernel):
+    """The subsampled rule keeping a step when ``random() < rate``."""
+
+    def _checks(self, chunks, rng_y=None, rng_z=None, rng_b=None):
+        return super()._checks(chunks, rng_y, rng_z, _FloatWords(rng_b, self._res.rate))
+
+
+@pytest.mark.parametrize("rate", [0.707, 0.1, 1.0])
+def test_subsampling_from_raw_words_matches_the_float_compare(rate):
+    """The subsampled rule keeps a step when its raw word lies at or below
+    an inclusive bound; outcomes, included counts and the subsampling
+    generator's state after each trial equal those of keeping it when
+    ``random() < rate``, at rate 1.0 too, where the bound is 2^64 - 1."""
+    cfg = TestConfig(HYP, 0.05, 0.05, LaplaceSub(1.0, rate))
+    raw, ref = TestKernel(cfg), _FloatSubKernel(cfg)
+    for seed in range(24):
+        p = HYP.mu1 if seed % 2 else HYP.mu0
+        got = run_test(raw.trial(seed), _obs(p, seed))
+        assert got == run_test(ref.trial(seed), _obs(p, seed))
+        after = [kernel._rngs[2].bit_generator.state for kernel in (raw, ref)]
+        assert repr(after[0]) == repr(after[1])
+
+
 def _plan(n_trials, eps=5.0, truths=(0,)):
     cells = tuple(PlannedVariant(f"{name}@eps={eps:g}", cfg, eps)
                   for name, cfg in _configs(eps).items())

@@ -11,6 +11,9 @@ from dpsprt.noise import (
     CorrectionParams,
     NoiseFamily,
     NoiseSpec,
+    _gaussian_from_uniform,
+    _laplace_from_uniform,
+    _laplace_scalar,
     correction,
     correction_vec,
     density_ratio_bound_check,
@@ -260,3 +263,56 @@ class TestDensityRatio:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             density_ratio_bound_check(NoiseFamily.LAPLACE, 1.0, 1.0, 1.0, [])
+
+
+class TestInPlaceTransforms:
+    """The samplers write their inverse CDFs over the uniforms they draw;
+    the values equal those of the reference expressions bit for bit, signed
+    zeros included (compared through int64 views), on edge uniforms and on
+    a million draws, on arrays and on the scalar path."""
+
+    EDGE_U = [2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1 - 2.0**-53]
+
+    @staticmethod
+    def _laplace_ref(u, scale):
+        centered = u - 0.5
+        return -scale * np.copysign(np.log1p(-2.0 * np.abs(centered)), -centered)
+
+    @staticmethod
+    def _gaussian_ref(u, scale):
+        return scale * sps.ndtri(u)
+
+    def _uniforms(self):
+        return np.concatenate([self.EDGE_U, uniform_open(_rng(4242), 10**6)])
+
+    @pytest.mark.parametrize("family", [NoiseFamily.LAPLACE, NoiseFamily.GAUSSIAN])
+    @pytest.mark.parametrize("scale", [0.8, 2.0, 37.5])
+    def test_array_transform_matches_reference(self, family, scale):
+        fn, ref = ((_laplace_from_uniform, self._laplace_ref) if family is NoiseFamily.LAPLACE
+                   else (_gaussian_from_uniform, self._gaussian_ref))
+        u = self._uniforms()
+        want = ref(u, scale)
+        got = fn(u.copy(), scale)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("family", [NoiseFamily.LAPLACE, NoiseFamily.GAUSSIAN])
+    def test_samplers_match_reference(self, family):
+        """`sample_y` over an array and `sample_z` one value at a time give
+        the reference values of the same uniforms, and leave the generator
+        where drawing them does."""
+        spec = NoiseSpec(family, 1.7, 0.9)
+        ref = self._laplace_ref if family is NoiseFamily.LAPLACE else self._gaussian_ref
+        u = uniform_open(_rng(4243), 5000)
+        y = sample_y(spec, _rng(4243), 5000)
+        assert np.array_equal(y.view(np.int64), ref(u, 1.7).view(np.int64))
+        rng = _rng(4243)
+        z = np.array([sample_z(spec, rng) for _ in range(2000)])
+        assert np.array_equal(z.view(np.int64), ref(u[:2000], 0.9).view(np.int64))
+        assert rng.random() == _rng(4243).random(2001)[2000]
+
+    def test_scalar_laplace_matches_reference_on_edges(self):
+        for u in self.EDGE_U:
+            for scale in (0.8, 2.0):
+                got = np.float64(_laplace_scalar(u, scale))
+                want = np.float64(self._laplace_ref(u, scale))
+                assert got.view(np.int64) == want.view(np.int64), (u, scale)

@@ -267,3 +267,23 @@ def test_mix64_is_deterministic_and_spreads():
     assert mix64(0) == mix64(0)
     outs = {mix64(i) for i in range(1000)}
     assert len(outs) == 1000
+
+
+@pytest.mark.parametrize("master", [7, 2**63, 2**64 - 1, 3 * 2**64 + 2**63])
+@pytest.mark.parametrize("variant", [fnv1a64("laplace@eps=5"), 2**63, 2**64 - 1])
+def test_a_key_carrying_its_block_words_acts_as_the_bare_key(master, variant):
+    """A block of observation keys, starting past trial 0, hashed in one
+    pass: each row equals the scalar words of its key; a key carrying its
+    row compares, hashes and prints as the bare key, and `derive` on either
+    draws the same words."""
+    trials = np.arange(2**63 - 3, 2**63 + 3, dtype=np.uint64)
+    block = stream_words(master, variant, trials, Substream.OBS)
+    for trial, row in zip(trials.tolist(), block):
+        bare = StreamKey(master, variant, trial, Substream.OBS)
+        carrying = StreamKey(master, variant, trial, Substream.OBS, row)
+        assert tuple(row.tolist()) == bare.words()
+        assert carrying == bare and hash(carrying) == hash(bare)
+        assert repr(carrying) == repr(bare)
+        assert np.array_equal(derive(carrying).bit_generator.random_raw(9),
+                              derive(bare).bit_generator.random_raw(9))
+
